@@ -1,44 +1,9 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 
-namespace treedl {
-
-namespace {
-std::atomic<LogLevel> g_log_level{LogLevel::kInfo};
-
-const char* LevelTag(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_log_level.store(level); }
-LogLevel GetLogLevel() { return g_log_level.load(); }
-
-namespace internal {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
-  stream_ << "[" << LevelTag(level) << " " << file << ":" << line << "] ";
-}
-
-LogMessage::~LogMessage() {
-  if (static_cast<int>(level_) >= static_cast<int>(GetLogLevel())) {
-    std::cerr << stream_.str() << "\n";
-  }
-}
+namespace treedl::internal {
 
 void CheckFailed(const char* file, int line, const char* expr,
                  const std::string& extra) {
@@ -48,5 +13,4 @@ void CheckFailed(const char* file, int line, const char* expr,
   std::abort();
 }
 
-}  // namespace internal
-}  // namespace treedl
+}  // namespace treedl::internal

@@ -1,4 +1,4 @@
-// Minimal leveled logging + check macros.
+// Check macros.
 //
 // TREEDL_CHECK is always on (used to enforce internal invariants whose
 // violation indicates a programming error, per the RocksDB "fail fast on
@@ -11,32 +11,9 @@
 
 namespace treedl {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Sets the minimum level actually emitted (default: kInfo).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
-/// Accumulates one log line and emits it (with level tag) on destruction.
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  template <typename T>
-  LogMessage& operator<<(const T& value) {
-    stream_ << value;
-    return *this;
-  }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-/// Emits the message at error level and aborts. Used by check macros.
+/// Prints the failed check to stderr and aborts. Used by check macros.
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const std::string& extra);
 
@@ -61,10 +38,6 @@ class CheckFailStream {
 };
 
 }  // namespace internal
-
-#define TREEDL_LOG(level)                                             \
-  ::treedl::internal::LogMessage(::treedl::LogLevel::k##level, __FILE__, \
-                                 __LINE__)
 
 #define TREEDL_CHECK(cond)                                       \
   if (cond) {                                                    \

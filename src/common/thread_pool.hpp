@@ -172,26 +172,33 @@ class ThreadPool {
 /// Counts outstanding tasks of one logical operation; Wait blocks until every
 /// Add has been matched by a Done. The shard executor Adds once per shard and
 /// Waits on the submitting thread.
+///
+/// The count lives under mu_, and Done decrements and notifies while holding
+/// it: a waiter can only observe zero after the last Done has released the
+/// lock, so Wait's caller may destroy the WaitGroup (it usually lives on the
+/// waiter's stack) as soon as Wait returns. Decrementing outside the lock
+/// would let the waiter return, and free the mutex, before Done notifies.
 class WaitGroup {
  public:
-  void Add(size_t n = 1) { count_.fetch_add(n, std::memory_order_acq_rel); }
+  void Add(size_t n = 1) {
+    std::lock_guard<std::mutex> lock(mu_);
+    count_ += n;
+  }
 
   void Done() {
-    if (count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--count_ == 0) cv_.notify_all();
   }
 
   void Wait() {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return count_.load(std::memory_order_acquire) == 0; });
+    cv_.wait(lock, [this] { return count_ == 0; });
   }
 
  private:
-  std::atomic<size_t> count_{0};
   std::mutex mu_;
   std::condition_variable cv_;
+  size_t count_ = 0;  // guarded by mu_
 };
 
 }  // namespace treedl

@@ -2,8 +2,6 @@
 
 #include "common/byte_vec.hpp"
 #include "core/extensions.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 
 namespace treedl::core {
 
@@ -140,38 +138,7 @@ class DominatingProblem {
   const Graph& graph_;
 };
 
-// Root scan shared by the standalone solver and the fused-pass finalizer.
-StatusOr<size_t> FinalizeDominating(const Graph& graph,
-                                    const NormalizedTreeDecomposition& ntd,
-                                    const DpTable<DomState, size_t>& table) {
-  size_t best = graph.NumVertices() + 1;
-  for (const auto& [state, value] : table.at(ntd.root())) {
-    bool complete = true;
-    for (uint8_t st : state.status) {
-      if (st == kWaiting) complete = false;
-    }
-    if (complete) best = std::min(best, value);
-  }
-  if (best > graph.NumVertices()) {
-    // Every graph has a dominating set (all vertices); reaching this means
-    // an internal inconsistency.
-    return Status::Internal("no dominating-set state survived to the root");
-  }
-  return best;
-}
-
 }  // namespace
-
-StatusOr<size_t> MinDominatingSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats, const DpExec& exec) {
-  DominatingProblem problem(graph);
-  auto table = RunTreeDpAuto(ntd, &problem, exec, stats);
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  return FinalizeDominating(graph, ntd, table);
-}
 
 std::function<StatusOr<size_t>()> AddDominatingSetPass(
     MultiDp* multi, const Graph& graph,
@@ -179,16 +146,21 @@ std::function<StatusOr<size_t>()> AddDominatingSetPass(
   const auto* table = multi->Add(DominatingProblem(graph),
                                  /*retain_tables=*/false);
   return [table, &graph, &ntd]() -> StatusOr<size_t> {
-    return FinalizeDominating(graph, ntd, *table);
+    size_t best = graph.NumVertices() + 1;
+    for (const auto& [state, value] : table->at(ntd.root())) {
+      bool complete = true;
+      for (uint8_t st : state.status) {
+        if (st == kWaiting) complete = false;
+      }
+      if (complete) best = std::min(best, value);
+    }
+    if (best > graph.NumVertices()) {
+      // Every graph has a dominating set (all vertices); reaching this means
+      // an internal inconsistency.
+      return Status::Internal("no dominating-set state survived to the root");
+    }
+    return best;
   };
-}
-
-StatusOr<size_t> MinDominatingSetTd(const Graph& graph,
-                                    const TreeDecomposition& td,
-                                    DpStats* stats) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return MinDominatingSetNormalized(graph, ntd, stats);
 }
 
 }  // namespace treedl::core

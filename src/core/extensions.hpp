@@ -13,54 +13,23 @@
 
 namespace treedl::core {
 
-/// Size of a minimum vertex cover.
-StatusOr<size_t> MinVertexCoverTd(const Graph& graph,
-                                  const TreeDecomposition& td,
-                                  DpStats* stats = nullptr);
-StatusOr<size_t> MinVertexCoverNormalized(const Graph& graph,
-                                          const NormalizedTreeDecomposition& ntd,
-                                          DpStats* stats = nullptr,
-                                          const DpExec& exec = {});
-/// Deprecated convenience: rebuilds a decomposition per call (one-shot
-/// treedl::Engine); batch callers should hold an Engine instead.
-StatusOr<size_t> MinVertexCoverTd(const Graph& graph, DpStats* stats = nullptr);
-
-/// Size of a maximum independent set.
-StatusOr<size_t> MaxIndependentSetTd(const Graph& graph,
-                                     const TreeDecomposition& td,
-                                     DpStats* stats = nullptr);
-StatusOr<size_t> MaxIndependentSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats = nullptr, const DpExec& exec = {});
-/// Deprecated convenience (one-shot Engine).
-StatusOr<size_t> MaxIndependentSetTd(const Graph& graph,
-                                     DpStats* stats = nullptr);
-
-/// Size of a minimum dominating set.
-StatusOr<size_t> MinDominatingSetTd(const Graph& graph,
-                                    const TreeDecomposition& td,
-                                    DpStats* stats = nullptr);
-StatusOr<size_t> MinDominatingSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats = nullptr, const DpExec& exec = {});
-/// Deprecated convenience (one-shot Engine).
-StatusOr<size_t> MinDominatingSetTd(const Graph& graph,
-                                    DpStats* stats = nullptr);
-
-// --- Fused-traversal registration (Engine::SolveAll) ------------------------
+// --- Pass registration (Engine::Solve / Engine::SolveAll) ------------------
 //
 // Same contract as core::AddThreeColorPass (three_color.hpp): registers one
-// pass of a MultiDp, returns a finalizer valid once the fused traversal ran;
-// `graph` and `ntd` must outlive both.
+// pass of a MultiDp, returns a finalizer valid once RunTreeDp ran; `graph`
+// and `ntd` must outlive both.
 
+/// Size of a minimum vertex cover.
 std::function<StatusOr<size_t>()> AddVertexCoverPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd);
 
+/// Size of a maximum independent set.
 std::function<StatusOr<size_t>()> AddIndependentSetPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd);
 
+/// Size of a minimum dominating set.
 std::function<StatusOr<size_t>()> AddDominatingSetPass(
     MultiDp* multi, const Graph& graph,
     const NormalizedTreeDecomposition& ntd);

@@ -373,19 +373,6 @@ StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
       context, encoding, schema.NumAttributes(), *state.normalized, stats);
 }
 
-StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
-                                            const SchemaEncoding& encoding,
-                                            const TreeDecomposition& td,
-                                            DpStats* stats) {
-  RunStats run;
-  auto result = EnumeratePrimes(schema, encoding, td, &run);
-  if (stats != nullptr) {
-    stats->total_states = run.dp_states;
-    stats->max_states_per_node = run.dp_max_states_per_node;
-  }
-  return result;
-}
-
 StatusOr<std::vector<bool>> EnumeratePrimesQuadratic(
     const Schema& schema, const SchemaEncoding& encoding,
     const TreeDecomposition& td) {

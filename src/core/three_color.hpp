@@ -24,43 +24,16 @@ struct ThreeColorResult {
   /// A proper coloring (vertex -> {0,1,2}) when colorable and extraction was
   /// requested.
   std::optional<std::vector<int>> coloring;
-  DpStats stats;
 };
 
-/// Decides 3-colorability using the supplied tree decomposition (validated
-/// against `graph`, then normalized — both as named pipeline passes).
-StatusOr<ThreeColorResult> SolveThreeColor(const Graph& graph,
-                                           const TreeDecomposition& td,
-                                           bool extract_coloring = true);
-
-/// DP kernel over an already-normalized decomposition (no validation or
-/// normalization; the Engine calls this with its cached normal form). `exec`
-/// optionally carries a bag sharding and thread pool for the parallel driver.
-StatusOr<ThreeColorResult> SolveThreeColorNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    bool extract_coloring = true, const DpExec& exec = {});
-
-/// Deprecated convenience: rebuilds a min-fill decomposition per call (a
-/// one-shot treedl::Engine); batch callers should hold an Engine instead.
-StatusOr<ThreeColorResult> SolveThreeColor(const Graph& graph,
-                                           bool extract_coloring = true);
-
-/// Counts proper 3-colorings (extension: same DP over the counting
-/// semiring). Exact for any graph the decomposition covers.
-StatusOr<uint64_t> CountThreeColorings(const Graph& graph,
-                                       const TreeDecomposition& td);
-StatusOr<uint64_t> CountThreeColoringsNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats = nullptr, const DpExec& exec = {});
-/// Deprecated convenience (one-shot Engine; see SolveThreeColor above).
-StatusOr<uint64_t> CountThreeColorings(const Graph& graph);
-
-// --- Fused-traversal registration (Engine::SolveAll) ------------------------
+// --- Pass registration (Engine::Solve / Engine::SolveAll) ------------------
 //
 // Each Add*Pass registers the problem's transitions as one pass of a MultiDp
 // and returns a finalizer that reads the answer out of the pass's table —
-// call it only after RunMultiTreeDp[Sharded|Auto] ran the traversal.
-// `graph` and `ntd` must outlive both the traversal and the finalizer call.
+// call it only after RunTreeDp ran the traversal. `graph` and `ntd` must
+// outlive both the traversal and the finalizer call. AddThreeColorCountPass
+// runs the same transitions over the counting semiring: it counts proper
+// 3-colorings exactly for any graph the decomposition covers.
 
 std::function<StatusOr<ThreeColorResult>()> AddThreeColorPass(
     MultiDp* multi, const Graph& graph, const NormalizedTreeDecomposition& ntd,

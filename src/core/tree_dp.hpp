@@ -17,7 +17,7 @@
 //   };
 //
 // `emit(state, value)` may be called any number of times per transition.
-// Merge must be commutative and associative — the drivers rely on this for
+// Merge must be commutative and associative — the driver relies on this for
 // order-independence of the final tables.
 //
 // State tables are flat, arena-backed open-addressing tables (StateTable =
@@ -26,35 +26,33 @@
 // node per state — and a whole table can be released at once, which is the
 // primitive behind dead-table eviction (below).
 //
-// Two drivers share the per-node transition logic:
-//   RunTreeDp         — sequential post-order traversal;
-//   RunTreeDpSharded  — bag-sharded parallel traversal: independent subtree
-//                       shards (td/shard.hpp) execute concurrently on a
-//                       ThreadPool, a shard becoming runnable when all of its
-//                       child shards have completed. Problem hooks must be
-//                       const and stateless (all in-tree problems are); the
-//                       resulting table is bit-identical to the sequential
-//                       one, because every node still sees fully-built child
-//                       tables and processes them in the same order.
+// Problems are registered as passes of a MultiDp, and ONE driver walks the
+// decomposition for all of them: RunTreeDp(ntd, &multi, exec, &stats). Each
+// pass keeps its own state table, but the tree is walked once. Within a
+// chunk of nodes (the whole post-order, or one shard's node list) execution
+// is *pass-major*: pass 1 processes every node of the chunk, then pass 2,
+// and so on — one state table streams through the cache at a time, instead
+// of several tables thrashing it per node. Engine::Solve runs a one-pass
+// MultiDp, Engine::SolveAll a five-pass one.
+//
+// The walk is sequential (post order), or bag-sharded when DpExec carries a
+// sharding and a pool: independent subtree shards (td/shard.hpp) execute
+// concurrently on a ThreadPool, a shard becoming runnable when all of its
+// child shards have completed. Problem hooks must be const and stateless
+// (all in-tree problems are); the resulting tables are bit-identical to the
+// sequential ones, because every node still sees fully-built child tables
+// and processes them in the same order.
 //
 // Dead-table eviction (DpExec::table_memory_budget > 0): a node's table is
 // consumed exactly once — by its parent node (in the same shard, or as the
-// boundary table of a child shard that the parent shard reads). The drivers
-// therefore release every child table right after its parent node is
+// boundary table of a child shard that the parent shard reads). The driver
+// therefore releases every child table right after its parent node is
 // processed, bounding peak table memory by the live frontier of the
 // traversal instead of the whole decomposition. The root's table is never
-// evicted (the finalizers read it), and problems that re-read interior
-// tables after the run (witness extraction) opt out per pass/run.
-// DpStats::peak_table_bytes / tables_evicted report the effect.
-//
-// MultiDp fuses several problems into ONE traversal: each registered problem
-// keeps its own state table, but the tree (and, in the parallel case, the
-// shard schedule) is walked once. Within a chunk of nodes (the whole
-// post-order, or one shard's node list) execution is *pass-major*: pass 1
-// processes every node of the chunk, then pass 2, and so on — one state
-// table streams through the cache at a time, instead of five tables
-// thrashing it per node. This is what Engine::SolveAll runs — N problems
-// cost one traversal family instead of N.
+// evicted (the finalizers read it), and passes that re-read interior tables
+// after the run (witness extraction) opt out via MultiDp::Add's
+// retain_tables flag. DpStats::peak_table_bytes / tables_evicted report the
+// effect.
 #ifndef TREEDL_CORE_TREE_DP_HPP_
 #define TREEDL_CORE_TREE_DP_HPP_
 
@@ -84,7 +82,7 @@ struct MemberHash {
 
 /// One bag's state table: flat open addressing over an arena (see header
 /// comment). Iteration order is insertion order — deterministic and identical
-/// between the sequential and sharded drivers.
+/// between the sequential and sharded walks.
 template <typename State, typename Value>
 using StateTable = FlatTable<State, Value>;
 
@@ -117,9 +115,8 @@ struct DpStats {
   size_t tables_evicted = 0;
 };
 
-/// Execution context for the drivers. Default-constructed (or with either
-/// pointer null, or a single shard) every driver below degrades to the
-/// sequential traversal.
+/// Execution context for RunTreeDp. Default-constructed (or with either
+/// pointer null, or a single shard) the driver walks sequentially.
 struct DpExec {
   const BagSharding* sharding = nullptr;
   ThreadPool* pool = nullptr;
@@ -176,7 +173,7 @@ struct TableMemoryTracker {
 };
 
 /// Computes one node's state table from its children's completed tables — the
-/// single source of the transition semantics for both drivers.
+/// single source of the transition semantics.
 template <typename Problem>
 void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                    Problem* problem,
@@ -241,10 +238,10 @@ void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
   }
 }
 
-/// Eviction step shared by every driver: after node `id` was processed, its
-/// children's tables have been consumed for the last time — release them.
-/// Exactly-once by construction (every node has one parent); the root is
-/// never anyone's child, so the root table always survives the run.
+/// Eviction step: after node `id` was processed, its children's tables have
+/// been consumed for the last time — release them. Exactly-once by
+/// construction (every node has one parent); the root is never anyone's
+/// child, so the root table always survives the run.
 template <typename State, typename Value>
 void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                       DpTable<State, Value>* table, TableMemoryTracker* memory) {
@@ -258,7 +255,7 @@ void EvictChildTables(const NormalizedTreeDecomposition& ntd, TdNodeId id,
 }
 
 /// One pass's node step: transition + stats + memory accounting + optional
-/// child eviction. Shared by the single-problem drivers and MultiDp.
+/// child eviction.
 ///
 /// Budgeted runs claim one work unit per step and verify the hard live-byte
 /// cap after the node's table lands. An exhausted budget turns remaining
@@ -293,7 +290,7 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
 /// chunks delivered by one traversal. Holds type-erased (problem, table)
 /// pairs; Add() copies the problem in and returns a stable pointer to its
 /// table, valid for the MultiDp's lifetime — callers read their results out
-/// of it after the traversal ran (see RunMultiTreeDpAuto).
+/// of it after RunTreeDp ran the traversal.
 class MultiDp {
  public:
   /// Registers a pass. `retain_tables` = false declares that the pass's
@@ -324,7 +321,7 @@ class MultiDp {
   /// all tables per node. Safe to call concurrently for the node lists of
   /// distinct shards (each pass writes only the chunk's slots, and the shard
   /// schedule orders child-table reads), which is exactly the sharded
-  /// driver's access pattern.
+  /// walk's access pattern.
   void ProcessChunk(const NormalizedTreeDecomposition& ntd,
                     const std::vector<TdNodeId>& nodes,
                     internal::TableMemoryTracker* memory,
@@ -384,7 +381,7 @@ namespace internal {
 /// before children within the shard).
 enum class WalkDirection { kBottomUp, kTopDown };
 
-/// The shard schedule shared by every parallel driver: executes
+/// The shard schedule shared by RunTreeDp and the §5.3 enumeration: executes
 /// `process_chunk(shard_nodes, &local_stats)` once per shard on the pool; a
 /// shard is submitted once all of its dependencies (child shards bottom-up,
 /// the parent shard top-down) are done, and the calling thread helps drain
@@ -474,122 +471,37 @@ void RunShardedWalk(const DpExec& exec, ProcessChunk&& process_chunk,
 
 }  // namespace internal
 
-/// Runs the bottom-up pass of `problem` over `ntd` sequentially and returns
-/// the full table. The table at the root characterizes the whole structure.
-/// table_memory_budget > 0 releases child tables as the walk consumes them
-/// (see the eviction contract in the header comment) — only valid when the
-/// caller reads nothing but the root table afterwards.
-template <typename Problem>
-DpTable<typename Problem::State, typename Problem::Value> RunTreeDp(
-    const NormalizedTreeDecomposition& ntd, Problem* problem,
-    DpStats* stats = nullptr, size_t table_memory_budget = 0,
-    WorkBudget* budget = nullptr) {
-  DpTable<typename Problem::State, typename Problem::Value> table;
-  table.nodes.resize(ntd.NumNodes());
-  internal::TableMemoryTracker memory;
-  bool evict = table_memory_budget > 0;
-  for (TdNodeId id : ntd.PostOrder()) {
-    internal::DpStepNode(ntd, id, problem, &table, &memory, evict, stats,
-                         budget);
-  }
-  memory.FoldInto(stats);
-  if (stats != nullptr) {
-    ++stats->traversals;
-    ++stats->passes;
-  }
-  return table;
-}
-
-/// Parallel driver: one shard-scheduled walk (internal::RunShardedWalk) of
-/// `problem`'s transitions. Requires exec.Parallel(); the problem's hooks are
-/// invoked concurrently from multiple threads and must be const/stateless.
-/// Honors exec.table_memory_budget (root-only readers only; see RunTreeDp).
-template <typename Problem>
-DpTable<typename Problem::State, typename Problem::Value> RunTreeDpSharded(
-    const NormalizedTreeDecomposition& ntd, Problem* problem,
-    const DpExec& exec, DpStats* stats = nullptr) {
-  DpTable<typename Problem::State, typename Problem::Value> table;
-  table.nodes.resize(ntd.NumNodes());
-  internal::TableMemoryTracker memory;
-  bool evict = exec.table_memory_budget > 0;
-  internal::RunShardedWalk(
-      exec,
-      [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-        for (TdNodeId id : nodes) {
-          internal::DpStepNode(ntd, id, problem, &table, &memory, evict,
-                               local, exec.budget);
-        }
-      },
-      stats);
-  memory.FoldInto(stats);
-  if (stats != nullptr) {
-    ++stats->traversals;
-    ++stats->passes;
-  }
-  return table;
-}
-
-/// Fused sequential driver: one pass-major walk of the post order feeding
-/// every pass of `multi`. Results are read out of the table pointers Add()
-/// returned. table_memory_budget applies per pass, honoring each pass's
-/// retain_tables flag.
-inline void RunMultiTreeDp(const NormalizedTreeDecomposition& ntd,
-                           MultiDp* multi, DpStats* stats = nullptr,
-                           size_t table_memory_budget = 0,
-                           WorkBudget* budget = nullptr) {
+/// The tree-DP driver: ONE bottom-up walk of `ntd` drives every pass
+/// registered on `multi`. Sequential in post order, or — when
+/// exec.Parallel() — shard-scheduled on exec.pool (internal::RunShardedWalk),
+/// where each bag is visited once and `stats->shards` grows by one
+/// traversal's shard count whatever the number of passes. Within a chunk
+/// (the whole post order, or one shard's node list) the passes run
+/// pass-major. Problem hooks are invoked concurrently in the parallel case
+/// and must be const/stateless. exec.table_memory_budget applies per pass,
+/// honoring each pass's retain_tables flag; results are read out of the
+/// table pointers Add() returned.
+inline void RunTreeDp(const NormalizedTreeDecomposition& ntd, MultiDp* multi,
+                      const DpExec& exec = {}, DpStats* stats = nullptr) {
   multi->Prepare(ntd.NumNodes());
   internal::TableMemoryTracker memory;
-  std::vector<TdNodeId> post = ntd.PostOrder();
-  multi->ProcessChunk(ntd, post, &memory, table_memory_budget, stats, budget);
+  if (exec.Parallel()) {
+    internal::RunShardedWalk(
+        exec,
+        [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
+          multi->ProcessChunk(ntd, nodes, &memory, exec.table_memory_budget,
+                              local, exec.budget);
+        },
+        stats);
+  } else {
+    multi->ProcessChunk(ntd, ntd.PostOrder(), &memory,
+                        exec.table_memory_budget, stats, exec.budget);
+  }
   memory.FoldInto(stats);
   if (stats != nullptr) {
     ++stats->traversals;
     stats->passes += multi->NumPasses();
   }
-}
-
-/// Fused parallel driver: ONE shard-scheduled walk drives every pass of
-/// `multi` — each bag is visited once, `stats->shards` grows by the shard
-/// count of a single traversal (not one per pass). Within a shard the passes
-/// run chunked pass-major (cache locality); across shards the schedule is
-/// unchanged. Requires exec.Parallel().
-inline void RunMultiTreeDpSharded(const NormalizedTreeDecomposition& ntd,
-                                  MultiDp* multi, const DpExec& exec,
-                                  DpStats* stats = nullptr) {
-  multi->Prepare(ntd.NumNodes());
-  internal::TableMemoryTracker memory;
-  internal::RunShardedWalk(
-      exec,
-      [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-        multi->ProcessChunk(ntd, nodes, &memory, exec.table_memory_budget,
-                            local, exec.budget);
-      },
-      stats);
-  memory.FoldInto(stats);
-  if (stats != nullptr) {
-    ++stats->traversals;
-    stats->passes += multi->NumPasses();
-  }
-}
-
-/// Dispatches the fused traversal to the sharded driver when `exec` carries a
-/// usable sharding and pool, else to the sequential one.
-inline void RunMultiTreeDpAuto(const NormalizedTreeDecomposition& ntd,
-                               MultiDp* multi, const DpExec& exec,
-                               DpStats* stats = nullptr) {
-  if (exec.Parallel()) return RunMultiTreeDpSharded(ntd, multi, exec, stats);
-  return RunMultiTreeDp(ntd, multi, stats, exec.table_memory_budget,
-                        exec.budget);
-}
-
-/// Dispatches to the sharded driver when `exec` carries a usable sharding and
-/// pool, else to the sequential one.
-template <typename Problem>
-DpTable<typename Problem::State, typename Problem::Value> RunTreeDpAuto(
-    const NormalizedTreeDecomposition& ntd, Problem* problem,
-    const DpExec& exec, DpStats* stats = nullptr) {
-  if (exec.Parallel()) return RunTreeDpSharded(ntd, problem, exec, stats);
-  return RunTreeDp(ntd, problem, stats, exec.table_memory_budget, exec.budget);
 }
 
 }  // namespace treedl::core

@@ -2,8 +2,6 @@
 
 #include "common/byte_vec.hpp"
 #include "core/extensions.hpp"
-#include "engine/passes.hpp"
-#include "engine/pipeline.hpp"
 
 namespace treedl::core {
 
@@ -103,38 +101,7 @@ class SubsetProblem {
   const Graph& graph_;
 };
 
-// Root scans shared by the standalone solvers and the fused-pass finalizers.
-size_t FinalizeCover(const Graph& graph,
-                     const NormalizedTreeDecomposition& ntd,
-                     const DpTable<SubsetState, size_t>& table) {
-  size_t best = graph.NumVertices();
-  for (const auto& [state, value] : table.at(ntd.root())) {
-    best = std::min(best, value);
-  }
-  return best;
-}
-
-size_t FinalizeIndependent(const NormalizedTreeDecomposition& ntd,
-                           const DpTable<SubsetState, size_t>& table) {
-  size_t best = 0;
-  for (const auto& [state, value] : table.at(ntd.root())) {
-    best = std::max(best, value);
-  }
-  return best;
-}
-
 }  // namespace
-
-StatusOr<size_t> MinVertexCoverNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats, const DpExec& exec) {
-  SubsetProblem<true> problem(graph);
-  auto table = RunTreeDpAuto(ntd, &problem, exec, stats);
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  return FinalizeCover(graph, ntd, table);
-}
 
 std::function<StatusOr<size_t>()> AddVertexCoverPass(
     MultiDp* multi, const Graph& graph,
@@ -142,7 +109,11 @@ std::function<StatusOr<size_t>()> AddVertexCoverPass(
   const auto* table = multi->Add(SubsetProblem<true>(graph),
                                  /*retain_tables=*/false);
   return [table, &graph, &ntd]() -> StatusOr<size_t> {
-    return FinalizeCover(graph, ntd, *table);
+    size_t best = graph.NumVertices();
+    for (const auto& [state, value] : table->at(ntd.root())) {
+      best = std::min(best, value);
+    }
+    return best;
   };
 }
 
@@ -152,34 +123,12 @@ std::function<StatusOr<size_t>()> AddIndependentSetPass(
   const auto* table = multi->Add(SubsetProblem<false>(graph),
                                  /*retain_tables=*/false);
   return [table, &ntd]() -> StatusOr<size_t> {
-    return FinalizeIndependent(ntd, *table);
+    size_t best = 0;
+    for (const auto& [state, value] : table->at(ntd.root())) {
+      best = std::max(best, value);
+    }
+    return best;
   };
-}
-
-StatusOr<size_t> MinVertexCoverTd(const Graph& graph,
-                                  const TreeDecomposition& td, DpStats* stats) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return MinVertexCoverNormalized(graph, ntd, stats);
-}
-
-StatusOr<size_t> MaxIndependentSetNormalized(
-    const Graph& graph, const NormalizedTreeDecomposition& ntd,
-    DpStats* stats, const DpExec& exec) {
-  SubsetProblem<false> problem(graph);
-  auto table = RunTreeDpAuto(ntd, &problem, exec, stats);
-  if (exec.budget != nullptr && exec.budget->Aborted()) {
-    return exec.budget->AbortStatus();
-  }
-  return FinalizeIndependent(ntd, table);
-}
-
-StatusOr<size_t> MaxIndependentSetTd(const Graph& graph,
-                                     const TreeDecomposition& td,
-                                     DpStats* stats) {
-  TREEDL_ASSIGN_OR_RETURN(NormalizedTreeDecomposition ntd,
-                          engine::PrepareForGraph(graph, td));
-  return MaxIndependentSetNormalized(graph, ntd, stats);
 }
 
 }  // namespace treedl::core

@@ -38,6 +38,12 @@ namespace treedl::datalog {
 
 inline constexpr ElementId kUnbound = std::numeric_limits<ElementId>::max();
 
+/// Largest relation arity datalog evaluation supports: a probe's bound
+/// pattern is a 32-bit mask with one bit per argument position, and the
+/// full-arity mask (1 << arity) - 1 must fit in it. internal::Prepare rejects
+/// wider predicates with InvalidArgument before any FactStore is built.
+inline constexpr int kMaxArity = 31;
+
 /// A partial assignment of program variables to element ids.
 using Binding = std::vector<ElementId>;
 

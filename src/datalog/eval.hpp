@@ -40,15 +40,6 @@ struct EvalExec {
   bool Parallel() const { return pool != nullptr && pool->NumThreads() > 1; }
 };
 
-/// Deprecated: retained for out-of-tree callers. New code receives the same
-/// numbers through the unified RunStats (eval_iterations / derived_facts /
-/// rule_applications); the EvalStats overloads below forward into RunStats.
-struct EvalStats {
-  size_t iterations = 0;
-  size_t derived_facts = 0;     // IDB facts derived (beyond the EDB)
-  size_t rule_applications = 0; // body matches attempted (work measure)
-};
-
 /// Evaluates `program` over the extensional database `edb`. The result
 /// structure carries the union signature (EDB predicates first, then new
 /// program predicates) and contains all EDB facts plus the derived IDB
@@ -68,13 +59,6 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
 StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
                                       const Structure& edb,
                                       const EvalExec& exec, RunStats* stats);
-
-/// Deprecated shims: forward into the RunStats forms and copy the fixpoint
-/// slice back into the legacy struct.
-StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
-                                  EvalStats* stats);
-StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
-                                      const Structure& edb, EvalStats* stats);
 
 }  // namespace treedl::datalog
 

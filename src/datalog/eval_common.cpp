@@ -30,6 +30,18 @@ StatusOr<PreparedProgram> Prepare(const Program& program,
     }
   }
 
+  // The FactStore's pattern masks cap relation arity; reject wider EDB or
+  // program predicates here, as a typed error, before the store is built.
+  for (PredicateId p = 0; p < combined.size(); ++p) {
+    if (combined.arity(p) > kMaxArity) {
+      return Status::InvalidArgument(
+          "predicate " + combined.predicate(p).name + " has arity " +
+          std::to_string(combined.arity(p)) +
+          "; datalog evaluation supports arity at most " +
+          std::to_string(kMaxArity));
+    }
+  }
+
   PreparedProgram prep;
   prep.result = Structure(combined);
   prep.predicate_map = predicate_map;

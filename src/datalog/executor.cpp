@@ -19,7 +19,7 @@ inline void VisitRow(const JoinStep& step, FactStore* src, uint32_t row,
   const int arity = kStaticArity >= 0
                         ? kStaticArity
                         : static_cast<int>(step.actions.size());
-  VariableId bound_vars[32];
+  VariableId bound_vars[kMaxArity];
   int num_bound = 0;
   bool ok = true;
   for (int i = 0; i < arity; ++i) {
@@ -96,7 +96,13 @@ class IndexProbeExec final : public StepExecutor {
     const int arity = kStaticArity >= 0
                           ? kStaticArity
                           : static_cast<int>(step.actions.size());
-    ElementId key[32];
+    // One key slot per probed position, sized by the static arity where it
+    // is known. Value-initialized once per probe, outside the row loop, so
+    // that every slot Probe may read is visibly written.
+    constexpr int kKeySlots = kStaticArity > 0    ? kStaticArity
+                              : kStaticArity == 0 ? 1
+                                                  : kMaxArity;
+    ElementId key[kKeySlots] = {};
     int k = 0;
     for (int i = 0; i < arity; ++i) {
       size_t pos = static_cast<size_t>(i);

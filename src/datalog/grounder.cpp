@@ -53,7 +53,7 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
 
   AtomInterner interner;
   std::vector<HornClause> clauses;
-  GroundingStats local;
+  RunStats local;
 
   // Ground program facts were already inserted into prep.store/prep.result by
   // Prepare; they must also seed the Horn program if their predicate is
@@ -190,19 +190,6 @@ StatusOr<Structure> GroundedEvaluate(const Program& program,
     stats->guard_instantiations += local.guard_instantiations;
   }
   return std::move(prep.result);
-}
-
-StatusOr<Structure> GroundedEvaluate(const Program& program,
-                                     const Structure& edb,
-                                     GroundingStats* stats) {
-  RunStats run;
-  auto result = GroundedEvaluate(program, edb, &run);
-  if (stats != nullptr) {
-    stats->ground_clauses = run.ground_clauses;
-    stats->ground_atoms = run.ground_atoms;
-    stats->guard_instantiations = run.guard_instantiations;
-  }
-  return result;
 }
 
 }  // namespace treedl::datalog

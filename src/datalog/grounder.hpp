@@ -21,24 +21,11 @@
 
 namespace treedl::datalog {
 
-/// Deprecated: retained for out-of-tree callers; the same numbers live in
-/// RunStats (ground_clauses / ground_atoms / guard_instantiations).
-struct GroundingStats {
-  size_t ground_clauses = 0;
-  size_t ground_atoms = 0;
-  size_t guard_instantiations = 0;
-};
-
 /// Semantics identical to SemiNaiveEvaluate, restricted to quasi-guarded
 /// programs (fails with InvalidArgument otherwise).
 StatusOr<Structure> GroundedEvaluate(const Program& program,
                                      const Structure& edb,
                                      RunStats* stats = nullptr);
-
-/// Deprecated shim: forwards into the RunStats form.
-StatusOr<Structure> GroundedEvaluate(const Program& program,
-                                     const Structure& edb,
-                                     GroundingStats* stats);
 
 }  // namespace treedl::datalog
 

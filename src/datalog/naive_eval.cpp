@@ -15,11 +15,11 @@ StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
   if (stats != nullptr) *stats = RunStats{};
   TREEDL_ASSIGN_OR_RETURN(internal::PreparedProgram prep,
                           internal::Prepare(program, edb));
-  EvalStats local;
+  RunStats local;
   bool changed = true;
   while (changed) {
     changed = false;
-    ++local.iterations;
+    ++local.eval_iterations;
     // Collect derivations per round, then insert (jacobi-style; insertion
     // order does not affect the least fixpoint).
     std::vector<std::pair<PredicateId, Tuple>> pending;
@@ -40,23 +40,11 @@ StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
     }
   }
   if (stats != nullptr) {
-    stats->eval_iterations += local.iterations;
+    stats->eval_iterations += local.eval_iterations;
     stats->derived_facts += local.derived_facts;
     stats->rule_applications += local.rule_applications;
   }
   return std::move(prep.result);
-}
-
-StatusOr<Structure> NaiveEvaluate(const Program& program, const Structure& edb,
-                                  EvalStats* stats) {
-  RunStats run;
-  auto result = NaiveEvaluate(program, edb, &run);
-  if (stats != nullptr) {
-    stats->iterations = run.eval_iterations;
-    stats->derived_facts = run.derived_facts;
-    stats->rule_applications = run.rule_applications;
-  }
-  return result;
 }
 
 }  // namespace treedl::datalog

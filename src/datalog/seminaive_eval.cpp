@@ -136,7 +136,7 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
   if (stats != nullptr) *stats = RunStats{};
   TREEDL_ASSIGN_OR_RETURN(internal::PreparedProgram prep,
                           internal::Prepare(program, edb));
-  EvalStats local;
+  RunStats local;
   ExecCounters exec_counters;
   size_t rule_tasks = 0;
   const bool parallel = exec.Parallel();
@@ -184,7 +184,7 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
   };
 
   {
-    ++local.iterations;
+    ++local.eval_iterations;
     std::vector<RuleTask> tasks;
     tasks.reserve(prep.rules.size());
     for (size_t r = 0; r < prep.rules.size(); ++r) {
@@ -202,7 +202,7 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
   // store; wide position-0 deltas split into contiguous batches. Duplicate
   // derivations are absorbed by the store.
   while (delta.TotalFacts() > 0) {
-    ++local.iterations;
+    ++local.eval_iterations;
     if (parallel) FreezeIndexes(prep, &delta, /*delta_positions_only=*/true);
     FactStore next_delta(prep.result.signature());
     std::vector<RuleTask> tasks;
@@ -227,10 +227,10 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
 
   local.rule_applications = exec_counters.work;
   if (stats != nullptr) {
-    stats->eval_iterations += local.iterations;
+    stats->eval_iterations += local.eval_iterations;
     stats->derived_facts += local.derived_facts;
     stats->rule_applications += local.rule_applications;
-    stats->fixpoint_rounds += local.iterations;
+    stats->fixpoint_rounds += local.eval_iterations;
     stats->fixpoint_rule_tasks += rule_tasks;
     stats->plan_compiles += prep.plan_compiles;
     stats->executor_dispatches += exec_counters.dispatches;
@@ -241,18 +241,6 @@ StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
 StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
                                       const Structure& edb, RunStats* stats) {
   return SemiNaiveEvaluate(program, edb, EvalExec{}, stats);
-}
-
-StatusOr<Structure> SemiNaiveEvaluate(const Program& program,
-                                      const Structure& edb, EvalStats* stats) {
-  RunStats run;
-  auto result = SemiNaiveEvaluate(program, edb, &run);
-  if (stats != nullptr) {
-    stats->iterations = run.eval_iterations;
-    stats->derived_facts = run.derived_facts;
-    stats->rule_applications = run.rule_applications;
-  }
-  return result;
 }
 
 }  // namespace treedl::datalog

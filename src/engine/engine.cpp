@@ -1,7 +1,9 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/binary_io.hpp"
 #include "common/timer.hpp"
@@ -62,6 +64,50 @@ void MergeDp(const core::DpStats& dp, RunStats* stats) {
   stats->dp_peak_table_bytes =
       std::max(stats->dp_peak_table_bytes, dp.peak_table_bytes);
   stats->dp_tables_evicted += dp.tables_evicted;
+}
+
+// Wraps a pass finalizer so that it stores its answer into `slot`.
+template <typename T>
+std::function<Status()> StoreInto(std::function<StatusOr<T>()> finalize,
+                                  T* slot) {
+  return [finalize = std::move(finalize), slot]() -> Status {
+    TREEDL_ASSIGN_OR_RETURN(*slot, finalize());
+    return Status::OK();
+  };
+}
+
+// Registers `problem`'s pass on `multi`. The returned finalizer writes the
+// answer into the matching fields of `out`, and may run only after the walk.
+std::function<Status()> AddSolvePass(Engine::Problem problem,
+                                     core::MultiDp* multi, const Graph& graph,
+                                     const NormalizedTreeDecomposition& ntd,
+                                     bool extract_witness,
+                                     Engine::SolveAllResult* out) {
+  switch (problem) {
+    case Engine::Problem::kThreeColor: {
+      auto finalize =
+          core::AddThreeColorPass(multi, graph, ntd, extract_witness);
+      return [finalize = std::move(finalize), out]() -> Status {
+        TREEDL_ASSIGN_OR_RETURN(core::ThreeColorResult r, finalize());
+        out->three_colorable = r.colorable;
+        out->coloring = std::move(r.coloring);
+        return Status::OK();
+      };
+    }
+    case Engine::Problem::kThreeColorCount:
+      return StoreInto(core::AddThreeColorCountPass(multi, graph, ntd),
+                       &out->three_colorings);
+    case Engine::Problem::kVertexCover:
+      return StoreInto(core::AddVertexCoverPass(multi, graph, ntd),
+                       &out->min_vertex_cover);
+    case Engine::Problem::kIndependentSet:
+      return StoreInto(core::AddIndependentSetPass(multi, graph, ntd),
+                       &out->max_independent_set);
+    case Engine::Problem::kDominatingSet:
+      return StoreInto(core::AddDominatingSetPass(multi, graph, ntd),
+                       &out->min_dominating_set);
+  }
+  return [] { return Status::Internal("unknown graph problem"); };
 }
 
 }  // namespace
@@ -558,76 +604,9 @@ StatusOr<std::vector<bool>> Engine::EvaluateMsoUnary(
 
 StatusOr<Engine::SolveResult> Engine::Solve(Problem problem, RunStats* stats,
                                             WorkBudget* budget) {
-  RunStats local;
-  RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
-  Timer timer;
-  StatusOr<SolveResult> result = [&]() -> StatusOr<SolveResult> {
-    const Graph* graph = nullptr;
-    const NormalizedTreeDecomposition* ntd = nullptr;
-    core::DpExec exec;
-    {
-      std::lock_guard<std::mutex> lock(sync_->cache_mu);
-      TREEDL_ASSIGN_OR_RETURN(graph, EnsureGaifman(s));
-      TREEDL_ASSIGN_OR_RETURN(ntd, EnsurePlainNtd(s));
-      exec.pool = EnsurePool();
-      exec.sharding = sharding_.has_value() ? &*sharding_ : nullptr;
-      exec.table_memory_budget = options_.table_memory_budget;
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
-    }
-    // The DP itself runs outside the lock — concurrent Solve calls share the
-    // pool, and with num_threads > 1 each traversal is itself sharded.
-    SolveResult out;
-    core::DpStats dp;
-    switch (problem) {
-      case Problem::kThreeColor: {
-        TREEDL_ASSIGN_OR_RETURN(
-            core::ThreeColorResult r,
-            core::SolveThreeColorNormalized(*graph, *ntd,
-                                            options_.extract_witness, exec));
-        out.feasible = r.colorable;
-        out.witness = std::move(r.coloring);
-        dp = r.stats;
-        break;
-      }
-      case Problem::kThreeColorCount: {
-        TREEDL_ASSIGN_OR_RETURN(
-            uint64_t count,
-            core::CountThreeColoringsNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = count > 0;
-        out.count = count;
-        break;
-      }
-      case Problem::kVertexCover: {
-        TREEDL_ASSIGN_OR_RETURN(
-            size_t best,
-            core::MinVertexCoverNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = true;
-        out.optimum = best;
-        break;
-      }
-      case Problem::kIndependentSet: {
-        TREEDL_ASSIGN_OR_RETURN(
-            size_t best,
-            core::MaxIndependentSetNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = true;
-        out.optimum = best;
-        break;
-      }
-      case Problem::kDominatingSet: {
-        TREEDL_ASSIGN_OR_RETURN(
-            size_t best,
-            core::MinDominatingSetNormalized(*graph, *ntd, &dp, exec));
-        out.feasible = true;
-        out.optimum = best;
-        break;
-      }
-    }
-    MergeDp(dp, s);
-    return out;
-  }();
-  s->total_millis = timer.ElapsedMillis();
-  Record(*s);
-  return result;
+  TREEDL_ASSIGN_OR_RETURN(SolveAllResult solved,
+                          SolveFused({problem}, stats, budget));
+  return solved.Result(problem);
 }
 
 Engine::SolveResult Engine::SolveAllResult::Result(Problem problem) const {
@@ -659,6 +638,15 @@ Engine::SolveResult Engine::SolveAllResult::Result(Problem problem) const {
 
 StatusOr<Engine::SolveAllResult> Engine::SolveAll(RunStats* stats,
                                                   WorkBudget* budget) {
+  return SolveFused({Problem::kThreeColor, Problem::kThreeColorCount,
+                     Problem::kVertexCover, Problem::kIndependentSet,
+                     Problem::kDominatingSet},
+                    stats, budget);
+}
+
+StatusOr<Engine::SolveAllResult> Engine::SolveFused(
+    std::initializer_list<Problem> problems, RunStats* stats,
+    WorkBudget* budget) {
   RunStats local;
   RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
   Timer timer;
@@ -675,34 +663,28 @@ StatusOr<Engine::SolveAllResult> Engine::SolveAll(RunStats* stats,
       exec.table_memory_budget = options_.table_memory_budget;
       exec.budget = budget != nullptr ? budget : options_.work_budget;
     }
-    // One fused traversal outside the lock: five state tables, each bag of
-    // the normal form visited exactly once (sharded when exec.Parallel()).
+    // One walk outside the lock: every bag of the normal form is visited
+    // once for all passes (sharded when exec.Parallel()), and concurrent
+    // queries share the pool.
+    SolveAllResult out;
     core::MultiDp multi;
-    auto three_color = core::AddThreeColorPass(&multi, *graph, *ntd,
-                                               options_.extract_witness);
-    auto count = core::AddThreeColorCountPass(&multi, *graph, *ntd);
-    auto vertex_cover = core::AddVertexCoverPass(&multi, *graph, *ntd);
-    auto independent = core::AddIndependentSetPass(&multi, *graph, *ntd);
-    auto dominating = core::AddDominatingSetPass(&multi, *graph, *ntd);
+    std::vector<std::function<Status()>> finalizers;
+    for (Problem problem : problems) {
+      finalizers.push_back(AddSolvePass(problem, &multi, *graph, *ntd,
+                                        options_.extract_witness, &out));
+    }
     core::DpStats dp;
-    core::RunMultiTreeDpAuto(*ntd, &multi, exec, &dp);
-    // The finalizers below re-read root (and, for witness extraction,
-    // interior) tables; on an aborted budget those are partial — surface the
-    // abort before any finalizer can trip over them.
+    core::RunTreeDp(*ntd, &multi, exec, &dp);
+    MergeDp(dp, s);
+    // The finalizers re-read root (and, for witness extraction, interior)
+    // tables; on an aborted budget those are partial — surface the abort
+    // before any finalizer can trip over them.
     if (exec.budget != nullptr && exec.budget->Aborted()) {
-      MergeDp(dp, s);
       return exec.budget->AbortStatus();
     }
-
-    SolveAllResult out;
-    TREEDL_ASSIGN_OR_RETURN(core::ThreeColorResult tc, three_color());
-    out.three_colorable = tc.colorable;
-    out.coloring = std::move(tc.coloring);
-    TREEDL_ASSIGN_OR_RETURN(out.three_colorings, count());
-    TREEDL_ASSIGN_OR_RETURN(out.min_vertex_cover, vertex_cover());
-    TREEDL_ASSIGN_OR_RETURN(out.max_independent_set, independent());
-    TREEDL_ASSIGN_OR_RETURN(out.min_dominating_set, dominating());
-    MergeDp(dp, s);
+    for (const auto& finalize : finalizers) {
+      TREEDL_RETURN_IF_ERROR(finalize());
+    }
     return out;
   }();
   s->total_millis = timer.ElapsedMillis();

@@ -25,23 +25,25 @@
 // outside the lock against the immutable cached artifacts. With
 // EngineOptions::num_threads > 1 the per-query engines themselves are
 // parallel on one shared work-stealing pool: the Solve/SolveAll tree DP runs
-// bag-sharded (core::RunTreeDpSharded), the AllPrimes enumeration runs both
-// of its passes shard-scheduled on the same pool (bottom-up, then the
-// inverted top-down schedule), and the semi-naive datalog fixpoint evaluates
-// each round's rules (and wide delta batches) as pool tasks with a
-// deterministic merge — every answer is bit-identical to num_threads = 1.
+// bag-sharded (core::RunTreeDp — Solve registers one pass on a
+// core::MultiDp, SolveAll five, and both run the same single walk), the
+// AllPrimes enumeration runs both of its passes shard-scheduled on the same
+// pool (bottom-up, then the inverted top-down schedule), and the semi-naive
+// datalog fixpoint evaluates each round's rules (and wide delta batches) as
+// pool tasks with a deterministic merge — every answer is bit-identical to
+// num_threads = 1.
 // Pointers returned by the artifact accessors stay valid for the Engine's
 // lifetime; moving an Engine while another thread uses it is undefined.
 //
 // Every query reports a RunStats (build/cache counters, DP and fixpoint
 // work, shard counts/timings, optional per-pass timings); CumulativeStats()
-// aggregates the session. The deprecated free functions
-// (core::IsPrimeViaTd(schema, a), ...) forward into a one-shot Engine, so
-// they pay encoding + decomposition on every call — the quadratic pattern
-// §5.3 argues against.
+// aggregates the session. The Engine is the only entry point of the graph
+// problems; a caller with its own decomposition passes it as
+// EngineOptions::decomposition (validated on first use).
 #ifndef TREEDL_ENGINE_ENGINE_HPP_
 #define TREEDL_ENGINE_ENGINE_HPP_
 
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -166,6 +168,8 @@ class Engine {
 
   // --- Graph DPs -----------------------------------------------------------
 
+  /// Answers `problem` with a one-pass core::MultiDp walked once over the
+  /// cached normal form (RunStats: dp_traversals == dp_passes == 1).
   /// A tripped `budget` (per-call, overriding EngineOptions::work_budget)
   /// aborts the traversal and returns its DeadlineExceeded /
   /// ResourceExhausted status; no partial result escapes and the session's
@@ -317,6 +321,12 @@ class Engine {
   /// width >= 1).
   StatusOr<bool> UseDirectMso(RunStats* stats);
   void Record(const RunStats& stats);
+  /// The body of Solve and SolveAll: registers the pass of each of
+  /// `problems` on one core::MultiDp over the cached normal form, runs ONE
+  /// core::RunTreeDp walk outside the lock, and fills the answers' fields of
+  /// the result.
+  StatusOr<SolveAllResult> SolveFused(std::initializer_list<Problem> problems,
+                                      RunStats* stats, WorkBudget* budget);
 
   EngineOptions options_;
   // Owned inputs (unique_ptr keeps references inside cached artifacts stable

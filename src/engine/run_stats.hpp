@@ -1,11 +1,9 @@
 // RunStats: the single per-query statistics record of the Engine API.
 //
-// Supersedes the scattered per-subsystem out-params (core::DpStats,
-// datalog::EvalStats, datalog::GroundingStats): one struct carries build/cache
-// counters of the session cache, DP table sizes, datalog fixpoint work, and
-// optional per-pass timings. The deprecated free-function signatures keep
-// their old stats structs, now populated by forwarding from a RunStats
-// computed internally (see engine/compat.cpp).
+// One struct carries build/cache counters of the session cache, DP table
+// sizes, datalog fixpoint work, grounding work, and optional per-pass
+// timings. The tree-DP driver still fills a core::DpStats per walk, which
+// the Engine folds into the query's RunStats.
 //
 // Header-only on purpose: core/ and datalog/ include this file to fill in
 // their slices without linking against the engine library.
@@ -69,7 +67,7 @@ struct RunStats {
   /// EngineOptions::table_memory_budget is set).
   size_t dp_tables_evicted = 0;
 
-  // --- Datalog fixpoint work (datalog::EvalStats slice) -------------------
+  // --- Datalog fixpoint work ----------------------------------------------
   size_t eval_iterations = 0;
   size_t derived_facts = 0;
   size_t rule_applications = 0;
@@ -107,7 +105,7 @@ struct RunStats {
   /// solve↓) of the §5.3 enumeration (0 when the walks ran sequentially).
   size_t primality_shards = 0;
 
-  // --- Grounded-LTUR work (datalog::GroundingStats slice) -----------------
+  // --- Grounded-LTUR work -------------------------------------------------
   size_t ground_clauses = 0;
   size_t ground_atoms = 0;
   size_t guard_instantiations = 0;
@@ -168,11 +166,9 @@ struct RunStats {
   std::string ToString() const;
 };
 
-/// Process-wide build counters, bumped by every Engine (and therefore by every
-/// deprecated convenience free function, which forwards into a one-shot
-/// Engine). Tests use the deltas to demonstrate the §5.3 amortization
-/// argument: N queries on one Engine cost one encoding + one decomposition,
-/// N convenience calls cost N of each.
+/// Process-wide build counters, bumped by every Engine. Tests use the deltas
+/// to demonstrate the §5.3 amortization argument: N queries on one Engine
+/// cost one encoding + one decomposition, N one-shot Engines cost N of each.
 struct EngineCounters {
   std::atomic<size_t> encode_builds{0};
   std::atomic<size_t> td_builds{0};

@@ -15,7 +15,12 @@ namespace treedl {
 namespace {
 
 // Number of fill edges created by eliminating v given set-based adjacency.
-size_t FillIn(const std::vector<std::set<VertexId>>& adj, VertexId v) {
+// Its inner loop is most of a cold decomposition. Where the linker happens to
+// place the function moves min-fill time by 10-20% between builds of this
+// same source (on a 4-core Xeon: fast whenever the entry is 64-byte aligned),
+// so the alignment is pinned and a code-size change elsewhere cannot shift it.
+[[gnu::aligned(64)]] size_t FillIn(const std::vector<std::set<VertexId>>& adj,
+                                   VertexId v) {
   size_t fill = 0;
   std::vector<VertexId> nbrs(adj[v].begin(), adj[v].end());
   for (size_t a = 0; a < nbrs.size(); ++a) {

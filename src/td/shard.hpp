@@ -7,7 +7,7 @@
 // tree into connected regions ("shards") of roughly balanced size; the shards
 // themselves form a tree, and a shard becomes runnable exactly when all of
 // its child shards have completed. core/tree_dp.hpp executes this schedule on
-// a ThreadPool (see RunTreeDpSharded).
+// a ThreadPool (see RunTreeDp and internal::RunShardedWalk).
 //
 // The same partition also serves root-to-leaves passes: because every shard
 // is a connected region whose nodes are listed in global post order, running

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/small_bitset.hpp"
 #include "common/status.hpp"
 #include "common/string_util.hpp"
+#include "common/thread_pool.hpp"
 
 #include "test_util.hpp"
 
@@ -162,6 +165,33 @@ TEST(HashTest, CombineIsOrderSensitive) {
 
 TEST(HashTest, HashRangeDistinguishesLengths) {
   EXPECT_NE(HashRange<int>({1, 2}), HashRange<int>({1, 2, 0}));
+}
+
+// Regression: Done() used to decrement before taking the group's mutex, so
+// the waiter could observe zero, return and free the group while Done() was
+// still about to lock and notify through it (the crash behind the flaky
+// sharded walks). The waiter may destroy the group as soon as Wait()
+// returns. The task releases Done() only once the waiter is about to Wait(),
+// and the waiter enters Wait() after a varying spin, so that across the loop
+// some waiters arrive while Done() is in progress.
+TEST(WaitGroupTest, WaiterMayDestroyGroupRightAfterWait) {
+  ThreadPool pool(2);
+  for (int i = 0; i < 20000; ++i) {
+    auto* group = new WaitGroup;
+    group->Add();
+    std::atomic<bool> go{false};
+    pool.Submit([group, &go] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      group->Done();
+    });
+    go.store(true, std::memory_order_release);
+    std::atomic<int> spin{0};
+    while (spin.fetch_add(1, std::memory_order_relaxed) < i % 256) {
+    }
+    group->Wait();
+    delete group;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/extensions.hpp"
-#include "core/primality.hpp"
-#include "core/primality_enum.hpp"
-#include "core/three_color.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
@@ -44,12 +40,12 @@ TEST(EngineTest, AmortizesEncodingAndDecompositionAcrossQueries) {
   EXPECT_EQ(global.encode_builds - encode_before, 1u);
   EXPECT_EQ(global.td_builds - td_before, 1u);
 
-  // N calls to the deprecated convenience overload: N encodings and N
-  // decomposition builds (the quadratic pattern the paper argues against).
+  // N one-shot Engines: N encodings and N decomposition builds (the
+  // quadratic pattern the paper argues against).
   encode_before = global.encode_builds;
   td_before = global.td_builds;
   for (AttributeId a = 0; a < n; ++a) {
-    ASSERT_TRUE(core::IsPrimeViaTd(schema, a).ok());
+    ASSERT_TRUE(Engine(schema).IsPrime(a).ok());
   }
   EXPECT_EQ(global.encode_builds - encode_before, static_cast<size_t>(n));
   EXPECT_EQ(global.td_builds - td_before, static_cast<size_t>(n));
@@ -190,20 +186,6 @@ TEST(EngineTest, SolveAllBatchesFiveProblemsIntoOneTraversal) {
   EXPECT_EQ(again.normalize_builds, 0u);
   EXPECT_EQ(again.dp_traversals, 1u);
   EXPECT_GT(again.cache_hits, 0u);
-}
-
-TEST(EngineTest, DeprecatedGraphShimsForwardStats) {
-  Graph g = CycleGraph(5);
-  core::DpStats stats;
-  auto vc = core::MinVertexCoverTd(g, &stats);
-  ASSERT_TRUE(vc.ok());
-  EXPECT_EQ(*vc, 3u);
-  EXPECT_GT(stats.total_states, 0u);  // numbers flow through RunStats
-
-  auto colored = core::SolveThreeColor(g);
-  ASSERT_TRUE(colored.ok());
-  EXPECT_TRUE(colored->colorable);
-  EXPECT_GT(colored->stats.total_states, 0u);
 }
 
 // --- Datalog backends ---------------------------------------------------------
@@ -385,22 +367,6 @@ TEST(EngineTest, PassTimingsAreCollectedWhenRequested) {
   }
   EXPECT_TRUE(saw_normalize);
   EXPECT_FALSE(run.ToString().empty());
-}
-
-// --- Deprecated primality shims ----------------------------------------------
-
-TEST(EngineTest, DeprecatedPrimalityShimsForwardStats) {
-  Schema schema = Schema::PaperExampleSchema();
-  core::DpStats stats;
-  auto result = core::IsPrimeViaTd(schema, 0, &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(stats.total_states, 0u);
-
-  core::DpStats enum_stats;
-  auto primes = core::EnumeratePrimes(schema, &enum_stats);
-  ASSERT_TRUE(primes.ok());
-  EXPECT_GT(enum_stats.total_states, 0u);
-  EXPECT_EQ(*primes, AllPrimesBruteForce(schema));
 }
 
 }  // namespace

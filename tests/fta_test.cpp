@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/three_color.hpp"
 #include "fta/tree_automaton.hpp"
 #include "fta/type_automaton.hpp"
 #include "graph/generators.hpp"
@@ -138,9 +137,12 @@ TEST(TypeAutomatonTest, MeasuresSubsetStates) {
   EXPECT_GT(usage->total_facts, 0u);
   EXPECT_GE(usage->max_subset_size, 1u);
   // Consistency with the solver (whatever the verdict is for this seed).
-  auto solve = core::SolveThreeColor(g, *td, /*extract_coloring=*/false);
+  EngineOptions options;
+  options.decomposition = *td;
+  options.extract_witness = false;
+  auto solve = SolveGraph(g, Engine::Problem::kThreeColor, options);
   ASSERT_TRUE(solve.ok());
-  EXPECT_EQ(solve->colorable, BruteForceColoring(g, 3).has_value());
+  EXPECT_EQ(solve->feasible, BruteForceColoring(g, 3).has_value());
 }
 
 TEST(TypeAutomatonTest, FactCountTracksDatalogStates) {
@@ -151,9 +153,12 @@ TEST(TypeAutomatonTest, FactCountTracksDatalogStates) {
   ASSERT_TRUE(td.ok());
   auto usage = MeasureThreeColorAutomaton(g, *td);
   ASSERT_TRUE(usage.ok());
-  auto solve = core::SolveThreeColor(g, *td, false);
-  ASSERT_TRUE(solve.ok());
-  EXPECT_EQ(usage->total_facts, solve->stats.total_states);
+  EngineOptions options;
+  options.decomposition = *td;
+  options.extract_witness = false;
+  RunStats run;
+  ASSERT_TRUE(SolveGraph(g, Engine::Problem::kThreeColor, options, &run).ok());
+  EXPECT_EQ(usage->total_facts, run.dp_states);
 }
 
 }  // namespace

@@ -6,9 +6,6 @@
 #include <algorithm>
 #include <string>
 
-#include "core/primality.hpp"
-#include "core/primality_enum.hpp"
-#include "core/three_color.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/parser.hpp"
 #include "graph/gaifman.hpp"
@@ -20,6 +17,8 @@
 #include "td/heuristics.hpp"
 #include "td/normalize.hpp"
 #include "td/validate.hpp"
+
+#include "test_util.hpp"
 
 namespace treedl {
 namespace {
@@ -91,9 +90,11 @@ TEST(TdRobustnessTest, LongPathNormalizationIsIterative) {
   auto norm = Normalize(*td);
   ASSERT_TRUE(norm.ok());
   EXPECT_TRUE(ValidateForGraph(g, norm->ToRaw()).ok());
-  auto result = core::SolveThreeColor(g, *td, /*extract_coloring=*/true);
+  EngineOptions options;
+  options.decomposition = *td;
+  auto result = SolveGraph(g, Engine::Problem::kThreeColor, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->colorable);
+  EXPECT_TRUE(result->feasible);
 }
 
 TEST(TdRobustnessTest, StarGraphDecomposition) {
@@ -103,19 +104,23 @@ TEST(TdRobustnessTest, StarGraphDecomposition) {
   ASSERT_TRUE(td.ok());
   EXPECT_EQ(td->Width(), 1);
   // Center gets one of 3 colors, each leaf one of the remaining 2.
-  EXPECT_EQ(core::CountThreeColorings(star, *td).value(),
+  EngineOptions options;
+  options.decomposition = *td;
+  EXPECT_EQ(SolveGraph(star, Engine::Problem::kThreeColorCount, options)
+                .value()
+                .count,
             3u * (uint64_t{1} << 19));
 }
 
 TEST(TdRobustnessTest, SingleVertexAndSingleEdge) {
   Graph one(1);
-  auto r1 = core::SolveThreeColor(one);
+  auto r1 = SolveGraph(one, Engine::Problem::kThreeColor);
   ASSERT_TRUE(r1.ok());
-  EXPECT_TRUE(r1->colorable);
-  EXPECT_EQ(core::CountThreeColorings(one).value(), 3u);
+  EXPECT_TRUE(r1->feasible);
+  EXPECT_EQ(SolveGraph(one, Engine::Problem::kThreeColorCount)->count, 3u);
   Graph two(2);
   two.AddEdge(0, 1);
-  EXPECT_EQ(core::CountThreeColorings(two).value(), 6u);
+  EXPECT_EQ(SolveGraph(two, Engine::Problem::kThreeColorCount)->count, 6u);
 }
 
 // --- PRIMALITY: adversarial schema shapes ---------------------------------------
@@ -129,7 +134,7 @@ TEST(PrimalityRobustnessTest, MultipleFdsSameRhs) {
   AttributeId c = s.AddAttribute("c");
   ASSERT_TRUE(s.AddFd({a}, c).ok());
   ASSERT_TRUE(s.AddFd({b}, c).ok());
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
 }
@@ -143,7 +148,7 @@ TEST(PrimalityRobustnessTest, CyclicDerivations) {
   ASSERT_TRUE(s.AddFd({a}, b).ok());
   ASSERT_TRUE(s.AddFd({b}, c).ok());
   ASSERT_TRUE(s.AddFd({c}, a).ok());
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, (std::vector<bool>{true, true, true}));
 }
@@ -160,7 +165,7 @@ TEST(PrimalityRobustnessTest, LongDerivationChain) {
                         attrs[static_cast<size_t>(i + 1)])
                     .ok());
   }
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ((*primes)[static_cast<size_t>(i)], i == 0) << i;
@@ -178,7 +183,7 @@ TEST(PrimalityRobustnessTest, WideLhsFd) {
   ASSERT_TRUE(
       s.AddFd({attrs[0], attrs[1], attrs[2], attrs[3], attrs[4]}, attrs[5])
           .ok());
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
 }
@@ -187,7 +192,7 @@ TEST(PrimalityRobustnessTest, AllAttributesIsolated) {
   // No FDs at all: the only key is R itself; every attribute is prime.
   Schema s;
   for (int i = 0; i < 5; ++i) s.AddAttribute("a" + std::to_string(i));
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok());
   EXPECT_EQ(*primes, std::vector<bool>(5, true));
 }
@@ -205,7 +210,7 @@ TEST(ClosureRobustnessTest, EmptyLhsFd) {
   EXPECT_FALSE(IsPrimeBruteForce(s, a));  // derivable from {} — never needed
   EXPECT_TRUE(IsPrimeBruteForce(s, b));
   // The DP agrees: every closed set contains a, so a is in no key.
-  auto primes = core::EnumeratePrimes(s);
+  auto primes = Engine(s).AllPrimes();
   ASSERT_TRUE(primes.ok()) << primes.status();
   EXPECT_EQ(*primes, AllPrimesBruteForce(s));
 }

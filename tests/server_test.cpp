@@ -161,6 +161,36 @@ TEST(ServerTest, TenantAndArgumentErrors) {
   EXPECT_GT(server.stats().replies_error, 0u);
 }
 
+// Relations wider than datalog::kMaxArity used to abort the whole process
+// from inside the FactStore; both routes in now end in a typed E_ARG, and
+// the server keeps serving.
+TEST(ServerTest, OverwideQueryPredicatesAreArgumentErrors) {
+  Server server(QuietOptions());
+  std::string vars = "X";
+  std::string consts = "a";
+  for (int i = 1; i < 33; ++i) {
+    vars += ", X";
+    consts += ",a";
+  }
+  ASSERT_NE(Reply(&server, "LOAD g1 SIG e/2 FACTS e(a, b).").find("OK LOAD"),
+            std::string::npos);
+  // A 33-ary IDB head.
+  std::string head = Reply(&server, "QUERY g1 big(" + vars + ") :- e(X, Y).");
+  EXPECT_EQ(head.rfind("ERR E_ARG ", 0), 0u) << head;
+  EXPECT_NE(Reply(&server, "SOLVE g1 VC").find("OK SOLVE"), std::string::npos);
+
+  // A 33-ary EDB relation: any QUERY on the tenant.
+  ASSERT_NE(Reply(&server, "LOAD g2 SIG w/33 e/2 FACTS w(" + consts +
+                               "). e(a, a).")
+                .find("OK LOAD"),
+            std::string::npos);
+  std::string edb = Reply(&server, "QUERY g2 r(X) :- e(X, Y).");
+  EXPECT_EQ(edb.rfind("ERR E_ARG ", 0), 0u) << edb;
+  std::string next = Reply(&server, "QUERY g1 r(X) :- e(X, Y).");
+  EXPECT_NE(next.find("OK QUERY tenant=g1 data=1"), std::string::npos) << next;
+  EXPECT_EQ(server.stats().replies_error, 2u);
+}
+
 TEST(ServerTest, TinyBudgetRejectsLoadViaProtocol) {
   ServerOptions options = QuietOptions();
   options.table_memory_budget = 32;  // below the triangle's estimate

@@ -1,4 +1,5 @@
-// Shared test helpers: deterministic per-test RNG seeding.
+// Shared test helpers: deterministic per-test RNG seeding, and one-shot
+// graph-problem sessions.
 //
 // Every randomized test derives its seed from the test's own full name (an
 // FNV-1a hash of "Suite.TestName", mixed with a per-draw salt) instead of an
@@ -14,6 +15,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+
+#include "engine/engine.hpp"
 
 namespace treedl {
 
@@ -36,6 +40,15 @@ inline uint64_t TestSeed(uint64_t salt = 0) {
               static_cast<unsigned long long>(salt),
               static_cast<unsigned long long>(hash));
   return hash;
+}
+
+/// Answers `problem` on `graph` through a one-shot graph session. A test
+/// that brings its own decomposition passes it as options.decomposition.
+inline StatusOr<Engine::SolveResult> SolveGraph(const Graph& graph,
+                                                Engine::Problem problem,
+                                                EngineOptions options = {},
+                                                RunStats* stats = nullptr) {
+  return Engine::FromGraph(graph, std::move(options)).Solve(problem, stats);
 }
 
 }  // namespace treedl

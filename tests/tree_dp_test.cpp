@@ -60,14 +60,17 @@ TEST(TreeDpTest, CountsVerticesOnRandomDecompositions) {
     options.copy_above_branches = trial % 3 == 0;
     auto ntd = Normalize(*td, options);
     ASSERT_TRUE(ntd.ok());
-    CountProblem problem;
+    MultiDp multi;
+    const auto* table = multi.Add(CountProblem{});
     DpStats stats;
-    auto table = RunTreeDp(*ntd, &problem, &stats);
-    const auto& root = table.at(ntd->root());
+    RunTreeDp(*ntd, &multi, DpExec{}, &stats);
+    const auto& root = table->at(ntd->root());
     ASSERT_EQ(root.size(), 1u);
     EXPECT_EQ(root.begin()->second, g.NumVertices());
     EXPECT_GT(stats.total_states, 0u);
     EXPECT_GE(stats.max_states_per_node, 1u);
+    EXPECT_EQ(stats.traversals, 1u);
+    EXPECT_EQ(stats.passes, 1u);
   }
 }
 
@@ -76,9 +79,10 @@ TEST(TreeDpTest, SingleNodeDecomposition) {
   td.AddNode({0, 1, 2});
   auto ntd = Normalize(td);
   ASSERT_TRUE(ntd.ok());
-  CountProblem problem;
-  auto table = RunTreeDp(*ntd, &problem);
-  EXPECT_EQ(table.at(ntd->root()).begin()->second, 3u);
+  MultiDp multi;
+  const auto* table = multi.Add(CountProblem{});
+  RunTreeDp(*ntd, &multi);
+  EXPECT_EQ(table->at(ntd->root()).begin()->second, 3u);
 }
 
 TEST(ProgramListingsTest, ListingsPresent) {
