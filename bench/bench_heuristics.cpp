@@ -3,6 +3,9 @@
 // exact treewidth on random graphs (the substrate substitution for
 // Bodlaender's algorithm documented in DESIGN.md).
 //
+// A second, printed-only table times the greedy heuristics on partial
+// 6-trees of growing size (the ROADMAP's min-fill scaling table).
+//
 // Flags: --quick shrinks the graph count for CI; --json <path> additionally
 // writes the deterministic quality counters (total widths per heuristic,
 // pipeline excess over exact, reduction-rule fire counts, proven lower
@@ -135,6 +138,39 @@ void PrintTable(const BenchConfig& config, const std::vector<Graph>& graphs,
               avg_exact / static_cast<double>(exact.size()));
 }
 
+// Milliseconds per elimination order on random partial 6-trees (keep 0.6),
+// the best of three runs. Printed only: wall-clock never enters the JSON.
+void PrintScalingTable(const BenchConfig& config) {
+  struct Column {
+    const char* name;
+    TdHeuristic heuristic;
+  };
+  const Column columns[] = {{"min-fill", TdHeuristic::kMinFill},
+                            {"tie-break", TdHeuristic::kMinFillTieBreak},
+                            {"min-degree", TdHeuristic::kMinDegree}};
+  std::printf("\nElimination-order time on partial 6-trees (ms/order)\n");
+  std::printf("%6s", "n");
+  for (const Column& column : columns) std::printf(" %11s", column.name);
+  std::printf("\n");
+  for (size_t n : {200, 400, 800, 1600}) {
+    Rng rng(config.seed + n);
+    Graph graph = RandomPartialKTree(n, 6, 0.6, &rng);
+    std::printf("%6zu", n);
+    for (const Column& column : columns) {
+      double best_ms = 0;
+      for (int run = 0; run < 3; ++run) {
+        Timer timer;
+        std::vector<VertexId> order = HeuristicOrder(graph, column.heuristic);
+        double ms = timer.ElapsedMillis();
+        TREEDL_CHECK(order.size() == n);
+        if (run == 0 || ms < best_ms) best_ms = ms;
+      }
+      std::printf(" %11.2f", best_ms);
+    }
+    std::printf("\n");
+  }
+}
+
 void WriteJson(const BenchConfig& config, const QualityTotals& totals) {
   FILE* out = std::fopen(config.json_path, "w");
   TREEDL_CHECK(out != nullptr) << "cannot open " << config.json_path;
@@ -184,6 +220,7 @@ void RunHeuristicsBench(const BenchConfig& config) {
     exact.push_back(ExactTreewidth(graphs.back()).value());
   }
   PrintTable(config, graphs, exact);
+  PrintScalingTable(config);
   if (config.json_path != nullptr) {
     WriteJson(config, CollectTotals(config, graphs, exact));
   }

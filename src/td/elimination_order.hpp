@@ -3,7 +3,10 @@
 // Any permutation π of the vertices yields a tree decomposition: eliminate
 // vertices in order, each elimination forms the bag {v} ∪ N_current(v) and
 // turns the neighborhood into a clique. The width of the best order equals the
-// treewidth. This is the engine under the min-degree / min-fill heuristics.
+// treewidth. The min-degree / min-fill heuristics (td/heuristics.hpp) choose
+// the order with their own incremental eliminator, whose per-step cost depends
+// only on the eliminated vertex's neighbourhood and the fill it adds; this
+// file turns a finished order into bags.
 #ifndef TREEDL_TD_ELIMINATION_ORDER_HPP_
 #define TREEDL_TD_ELIMINATION_ORDER_HPP_
 

@@ -1,6 +1,8 @@
 #include "td/heuristics.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <utility>
@@ -14,108 +16,187 @@ namespace treedl {
 
 namespace {
 
-// Number of fill edges created by eliminating v given set-based adjacency.
-// Its inner loop is most of a cold decomposition. Where the linker happens to
-// place the function moves min-fill time by 10-20% between builds of this
-// same source (on a 4-core Xeon: fast whenever the entry is 64-byte aligned),
-// so the alignment is pinned and a code-size change elsewhere cannot shift it.
-[[gnu::aligned(64)]] size_t FillIn(const std::vector<std::set<VertexId>>& adj,
-                                   VertexId v) {
-  size_t fill = 0;
-  std::vector<VertexId> nbrs(adj[v].begin(), adj[v].end());
-  for (size_t a = 0; a < nbrs.size(); ++a) {
-    for (size_t b = a + 1; b < nbrs.size(); ++b) {
-      if (!adj[nbrs[a]].count(nbrs[b])) ++fill;
-    }
-  }
-  return fill;
-}
-
-std::vector<VertexId> GreedyOrder(const Graph& graph, bool min_fill) {
-  size_t n = graph.NumVertices();
-  std::vector<std::set<VertexId>> adj(n);
-  for (auto [u, v] : graph.Edges()) {
-    adj[u].insert(v);
-    adj[v].insert(u);
-  }
-  std::vector<bool> eliminated(n, false);
-  std::vector<VertexId> order;
-  order.reserve(n);
-  for (size_t step = 0; step < n; ++step) {
-    VertexId best = 0;
-    size_t best_score = std::numeric_limits<size_t>::max();
+// Greedy elimination for kMinDegree, kMinFill and kMinFillTieBreak. Each
+// step eliminates the live vertex with the smallest (score, id), where the
+// score is the current degree, the fill, or (fill, current degree)
+// respectively; among equal scores the lowest id goes first.
+//
+// Adjacency is flat sorted vectors over the live vertices, and fill counts
+// stay exact at every step without rescanning the graph: eliminating v only
+// changes the scores of N(v) and of the common neighbours of the fill edges
+// it adds, and those are updated by deltas. Membership and intersection
+// tests iterate the shorter list and binary-search the longer one, so
+// high-degree hubs are never scanned.
+class Eliminator {
+ public:
+  Eliminator(const Graph& graph, TdHeuristic heuristic)
+      : heuristic_(heuristic), adj_(graph.NumVertices()),
+        key_(graph.NumVertices()) {
+    TREEDL_CHECK(heuristic != TdHeuristic::kMcs);
+    size_t n = graph.NumVertices();
     for (VertexId v = 0; v < n; ++v) {
-      if (eliminated[v]) continue;
-      size_t score = min_fill ? FillIn(adj, v) : adj[v].size();
-      if (score < best_score) {
-        best_score = score;
-        best = v;
+      adj_[v] = graph.Neighbors(v);
+      std::sort(adj_[v].begin(), adj_[v].end());
+    }
+    if (TracksFill()) {
+      // fill(v) = C(deg v, 2) - #edges inside N(v); each edge {u, w} lies in
+      // the neighbourhoods of |N(u) ∩ N(w)| vertices, and summing the
+      // intersections over the edges at v counts each inner edge twice.
+      std::vector<size_t> twice_inner(n, 0);
+      for (VertexId u = 0; u < n; ++u) {
+        for (VertexId w : adj_[u]) {
+          if (w < u) continue;
+          size_t common = CountCommon(u, w);
+          twice_inner[u] += common;
+          twice_inner[w] += common;
+        }
+      }
+      fill_.resize(n);
+      for (VertexId v = 0; v < n; ++v) {
+        size_t d = adj_[v].size();
+        fill_[v] = (d < 2 ? 0 : d * (d - 1) / 2) - twice_inner[v] / 2;
       }
     }
-    order.push_back(best);
-    eliminated[best] = true;
-    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
-    for (size_t a = 0; a < nbrs.size(); ++a) {
-      adj[nbrs[a]].erase(best);
-      for (size_t b = a + 1; b < nbrs.size(); ++b) {
-        adj[nbrs[a]].insert(nbrs[b]);
-        adj[nbrs[b]].insert(nbrs[a]);
-      }
-    }
-    adj[best].clear();
-  }
-  return order;
-}
-
-// Min-fill with principled tie-breaking: candidates are compared by
-// (fill, current degree, id); when `rng` is non-null, ties on (fill, degree)
-// are instead broken uniformly at random — the randomized restarts of the
-// multi-start variant.
-std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
-  size_t n = graph.NumVertices();
-  std::vector<std::set<VertexId>> adj(n);
-  for (auto [u, v] : graph.Edges()) {
-    adj[u].insert(v);
-    adj[v].insert(u);
-  }
-  std::vector<bool> eliminated(n, false);
-  std::vector<VertexId> order;
-  order.reserve(n);
-  std::vector<VertexId> ties;
-  for (size_t step = 0; step < n; ++step) {
-    VertexId best = 0;
-    auto best_score = std::make_pair(std::numeric_limits<size_t>::max(),
-                                     std::numeric_limits<size_t>::max());
-    ties.clear();
     for (VertexId v = 0; v < n; ++v) {
-      if (eliminated[v]) continue;
-      auto score = std::make_pair(FillIn(adj, v), adj[v].size());
-      if (score < best_score) {
-        best_score = score;
-        best = v;
-        ties.clear();
-        ties.push_back(v);
-      } else if (rng != nullptr && score == best_score) {
-        ties.push_back(v);
-      }
+      key_[v] = KeyOf(v);
+      queue_.insert(key_[v]);
     }
-    if (rng != nullptr && ties.size() > 1) {
-      best = ties[rng->UniformIndex(ties.size())];
-    }
-    order.push_back(best);
-    eliminated[best] = true;
-    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
-    for (size_t a = 0; a < nbrs.size(); ++a) {
-      adj[nbrs[a]].erase(best);
-      for (size_t b = a + 1; b < nbrs.size(); ++b) {
-        adj[nbrs[a]].insert(nbrs[b]);
-        adj[nbrs[b]].insert(nbrs[a]);
-      }
-    }
-    adj[best].clear();
   }
-  return order;
-}
+
+  // The elimination order. With a non-null `rng`, ties on the score are
+  // broken uniformly at random instead of by lowest id: the tied vertices
+  // are taken in ascending id and the rng is drawn only when there are at
+  // least two of them.
+  std::vector<VertexId> Run(Rng* rng) {
+    std::vector<VertexId> order;
+    order.reserve(adj_.size());
+    while (!queue_.empty()) {
+      auto best = queue_.begin();
+      if (rng != nullptr) {
+        size_t ties = 0;
+        for (auto it = best; it != queue_.end() && SameScore(*it, *best);
+             ++it) {
+          ++ties;
+        }
+        if (ties > 1) std::advance(best, rng->UniformIndex(ties));
+      }
+      VertexId v = best->id;
+      queue_.erase(best);
+      order.push_back(v);
+      Eliminate(v);
+      Requeue();
+    }
+    return order;
+  }
+
+ private:
+  struct Key {
+    size_t primary;
+    size_t secondary;
+    VertexId id;
+    auto operator<=>(const Key&) const = default;
+  };
+
+  static bool SameScore(const Key& a, const Key& b) {
+    return a.primary == b.primary && a.secondary == b.secondary;
+  }
+
+  bool TracksFill() const { return heuristic_ != TdHeuristic::kMinDegree; }
+
+  Key KeyOf(VertexId v) const {
+    size_t degree = adj_[v].size();
+    switch (heuristic_) {
+      case TdHeuristic::kMinDegree:
+        return {degree, 0, v};
+      case TdHeuristic::kMinFill:
+        return {fill_[v], 0, v};
+      default:
+        return {fill_[v], degree, v};
+    }
+  }
+
+  // Calls `visit` on each vertex adjacent to both `a` and `b`.
+  template <typename Visit>
+  void ForEachCommon(VertexId a, VertexId b, Visit visit) const {
+    if (adj_[a].size() > adj_[b].size()) std::swap(a, b);
+    const std::vector<VertexId>& longer = adj_[b];
+    for (VertexId w : adj_[a]) {
+      if (std::binary_search(longer.begin(), longer.end(), w)) visit(w);
+    }
+  }
+
+  size_t CountCommon(VertexId a, VertexId b) const {
+    size_t common = 0;
+    ForEachCommon(a, b, [&](VertexId) { ++common; });
+    return common;
+  }
+
+  bool Adjacent(VertexId a, VertexId b) const {
+    if (adj_[a].size() > adj_[b].size()) std::swap(a, b);
+    return std::binary_search(adj_[a].begin(), adj_[a].end(), b);
+  }
+
+  // Removes v and turns N(v) into a clique, keeping every fill count exact.
+  void Eliminate(VertexId v) {
+    std::vector<VertexId> nbrs = std::move(adj_[v]);
+    adj_[v].clear();
+    // Each x in N(v) loses the pairs {v, y} with y in N(x) \ N[v].
+    for (VertexId x : nbrs) {
+      std::vector<VertexId>& ax = adj_[x];
+      ax.erase(std::lower_bound(ax.begin(), ax.end(), v));
+      if (TracksFill()) {
+        size_t in_nbrs = 0;
+        for (VertexId y : nbrs) {
+          if (y != x && Adjacent(x, y)) ++in_nbrs;
+        }
+        fill_[x] -= ax.size() - in_nbrs;
+      }
+      dirty_.push_back(x);
+    }
+    // Each fill edge {x, y} closes the pair {x, y} for every common
+    // neighbour, and opens the pairs {y, z} (z in N(x) \ N(y)) at x and
+    // symmetrically at y.
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        VertexId x = nbrs[a], y = nbrs[b];
+        if (Adjacent(x, y)) continue;
+        if (TracksFill()) {
+          size_t common = 0;
+          ForEachCommon(x, y, [&](VertexId w) {
+            --fill_[w];
+            dirty_.push_back(w);
+            ++common;
+          });
+          fill_[x] += adj_[x].size() - common;
+          fill_[y] += adj_[y].size() - common;
+        }
+        adj_[x].insert(std::lower_bound(adj_[x].begin(), adj_[x].end(), y), y);
+        adj_[y].insert(std::lower_bound(adj_[y].begin(), adj_[y].end(), x), x);
+      }
+    }
+  }
+
+  // Moves every vertex whose score changed to its new queue position (a
+  // vertex listed twice is found in place the second time).
+  void Requeue() {
+    for (VertexId w : dirty_) {
+      Key key = KeyOf(w);
+      if (key != key_[w]) {
+        queue_.erase(key_[w]);
+        queue_.insert(key);
+        key_[w] = key;
+      }
+    }
+    dirty_.clear();
+  }
+
+  TdHeuristic heuristic_;
+  std::vector<std::vector<VertexId>> adj_;  // live neighbours, sorted
+  std::vector<size_t> fill_;                // unused for kMinDegree
+  std::vector<Key> key_;                    // each live vertex's queue key
+  std::set<Key> queue_;
+  std::vector<VertexId> dirty_;  // vertices whose score may have changed
+};
 
 // Maximum cardinality search: repeatedly pick the vertex with the most
 // already-visited neighbors; the *reverse* of the visit order is used as the
@@ -168,13 +249,11 @@ std::vector<VertexId> HeuristicOrder(const Graph& graph,
                                      TdHeuristic heuristic) {
   switch (heuristic) {
     case TdHeuristic::kMinDegree:
-      return GreedyOrder(graph, /*min_fill=*/false);
     case TdHeuristic::kMinFill:
-      return GreedyOrder(graph, /*min_fill=*/true);
+    case TdHeuristic::kMinFillTieBreak:
+      return Eliminator(graph, heuristic).Run(/*rng=*/nullptr);
     case TdHeuristic::kMcs:
       return McsOrder(graph);
-    case TdHeuristic::kMinFillTieBreak:
-      return TieBrokenMinFillOrder(graph, /*rng=*/nullptr);
   }
   TREEDL_CHECK(false) << "unknown heuristic";
   return {};
@@ -183,12 +262,14 @@ std::vector<VertexId> HeuristicOrder(const Graph& graph,
 std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
                                              const MultiStartOptions& options) {
   TREEDL_CHECK(graph.NumVertices() > 0);
-  std::vector<VertexId> best = TieBrokenMinFillOrder(graph, nullptr);
+  std::vector<VertexId> best =
+      Eliminator(graph, TdHeuristic::kMinFillTieBreak).Run(/*rng=*/nullptr);
   std::pair<int, uint64_t> best_quality = OrderQuality(graph, best);
   for (size_t start = 1; start < options.starts; ++start) {
     // One independent deterministic stream per restart (golden-ratio step).
     Rng rng(options.seed + start * 0x9E3779B97F4A7C15ULL);
-    std::vector<VertexId> candidate = TieBrokenMinFillOrder(graph, &rng);
+    std::vector<VertexId> candidate =
+        Eliminator(graph, TdHeuristic::kMinFillTieBreak).Run(&rng);
     std::pair<int, uint64_t> quality = OrderQuality(graph, candidate);
     if (quality < best_quality) {
       best_quality = quality;

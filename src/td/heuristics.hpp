@@ -31,6 +31,13 @@ enum class TdHeuristic {
 /// decompositions — and the transcripts and bench baselines pinned to them —
 /// depend on); kMinFillTieBreak breaks min-fill ties by smallest current
 /// degree, then lowest id, which dominates kMinFill on width in practice.
+///
+/// The greedy heuristics keep every live vertex's score in a priority order
+/// and update it by deltas, so a step never rescans the graph. Eliminating a
+/// vertex of current degree d costs O(d² log Δ) for its neighbourhood, plus
+/// O(min(deg x, deg y) · log Δ) per fill edge {x, y} it adds, plus O(log n)
+/// per vertex whose score changed, plus an O(Δ) sorted-list shift per edge
+/// removed or added (Δ is the maximum current degree). kMcs is O(n²).
 std::vector<VertexId> HeuristicOrder(const Graph& graph, TdHeuristic heuristic);
 
 struct MultiStartOptions {
@@ -45,8 +52,10 @@ struct MultiStartOptions {
 
 /// Best-of-K min-fill: the tie-broken deterministic order plus seeded
 /// restarts that break (fill, degree) ties uniformly at random, keeping the
-/// order with the smallest (induced width, modeled cost). Deterministic per
-/// (graph, options). Requires a nonempty graph.
+/// order with the smallest (induced width, modeled cost). A restart takes the
+/// tied vertices in ascending id and draws from its rng only when there are
+/// at least two. Deterministic per (graph, options). Requires a nonempty
+/// graph.
 std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
                                              const MultiStartOptions& options);
 

@@ -1,0 +1,325 @@
+// Differential oracle for the greedy elimination heuristics.
+//
+// The library's min-degree / min-fill orders come from an incremental
+// eliminator that maintains fill counts by deltas. Session fingerprints,
+// server transcripts and the bench baselines are pinned to the orders of the
+// original rescan implementation, which recomputed every live vertex's score
+// at every step over std::set adjacency. That implementation is kept here
+// as the reference, verbatim apart from a code-alignment attribute on FillIn
+// that only affected its speed: every heuristic must reproduce its orders
+// exactly (same vertices, same tie-breaks, same rng draws) on every family
+// below.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "graph/gaifman.hpp"
+#include "graph/generators.hpp"
+#include "schema/encode.hpp"
+#include "schema/generators.hpp"
+#include "td/elimination_order.hpp"
+#include "td/heuristics.hpp"
+
+#include "test_util.hpp"
+
+namespace treedl {
+namespace {
+
+// ---------------------------------------------------------------------------
+// The reference: the rescan heuristics as they were before the incremental
+// eliminator replaced them.
+// ---------------------------------------------------------------------------
+
+// Number of fill edges created by eliminating v given set-based adjacency.
+size_t FillIn(const std::vector<std::set<VertexId>>& adj, VertexId v) {
+  size_t fill = 0;
+  std::vector<VertexId> nbrs(adj[v].begin(), adj[v].end());
+  for (size_t a = 0; a < nbrs.size(); ++a) {
+    for (size_t b = a + 1; b < nbrs.size(); ++b) {
+      if (!adj[nbrs[a]].count(nbrs[b])) ++fill;
+    }
+  }
+  return fill;
+}
+
+std::vector<VertexId> GreedyOrder(const Graph& graph, bool min_fill) {
+  size_t n = graph.NumVertices();
+  std::vector<std::set<VertexId>> adj(n);
+  for (auto [u, v] : graph.Edges()) {
+    adj[u].insert(v);
+    adj[v].insert(u);
+  }
+  std::vector<bool> eliminated(n, false);
+  std::vector<VertexId> order;
+  order.reserve(n);
+  for (size_t step = 0; step < n; ++step) {
+    VertexId best = 0;
+    size_t best_score = std::numeric_limits<size_t>::max();
+    for (VertexId v = 0; v < n; ++v) {
+      if (eliminated[v]) continue;
+      size_t score = min_fill ? FillIn(adj, v) : adj[v].size();
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+      }
+    }
+    order.push_back(best);
+    eliminated[best] = true;
+    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      adj[nbrs[a]].erase(best);
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        adj[nbrs[a]].insert(nbrs[b]);
+        adj[nbrs[b]].insert(nbrs[a]);
+      }
+    }
+    adj[best].clear();
+  }
+  return order;
+}
+
+// Min-fill with principled tie-breaking: candidates are compared by
+// (fill, current degree, id); when `rng` is non-null, ties on (fill, degree)
+// are instead broken uniformly at random — the randomized restarts of the
+// multi-start variant.
+std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
+  size_t n = graph.NumVertices();
+  std::vector<std::set<VertexId>> adj(n);
+  for (auto [u, v] : graph.Edges()) {
+    adj[u].insert(v);
+    adj[v].insert(u);
+  }
+  std::vector<bool> eliminated(n, false);
+  std::vector<VertexId> order;
+  order.reserve(n);
+  std::vector<VertexId> ties;
+  for (size_t step = 0; step < n; ++step) {
+    VertexId best = 0;
+    auto best_score = std::make_pair(std::numeric_limits<size_t>::max(),
+                                     std::numeric_limits<size_t>::max());
+    ties.clear();
+    for (VertexId v = 0; v < n; ++v) {
+      if (eliminated[v]) continue;
+      auto score = std::make_pair(FillIn(adj, v), adj[v].size());
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+        ties.clear();
+        ties.push_back(v);
+      } else if (rng != nullptr && score == best_score) {
+        ties.push_back(v);
+      }
+    }
+    if (rng != nullptr && ties.size() > 1) {
+      best = ties[rng->UniformIndex(ties.size())];
+    }
+    order.push_back(best);
+    eliminated[best] = true;
+    std::vector<VertexId> nbrs(adj[best].begin(), adj[best].end());
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      adj[nbrs[a]].erase(best);
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        adj[nbrs[a]].insert(nbrs[b]);
+        adj[nbrs[b]].insert(nbrs[a]);
+      }
+    }
+    adj[best].clear();
+  }
+  return order;
+}
+
+std::pair<int, uint64_t> OrderQuality(const Graph& graph,
+                                      const std::vector<VertexId>& order) {
+  StatusOr<TreeDecomposition> td = DecompositionFromOrder(graph, order);
+  TREEDL_CHECK(td.ok()) << td.status();
+  uint64_t cost = 0;
+  for (size_t id = 0; id < td->NumNodes(); ++id) {
+    size_t b = std::min<size_t>(td->Bag(static_cast<TdNodeId>(id)).size(), 20);
+    uint64_t states = 1;
+    for (size_t i = 0; i < b; ++i) states *= 3;
+    cost += states;
+  }
+  return {td->Width(), cost};
+}
+
+std::vector<VertexId> OracleMultiStartOrder(const Graph& graph,
+                                            const MultiStartOptions& options) {
+  std::vector<VertexId> best = TieBrokenMinFillOrder(graph, nullptr);
+  std::pair<int, uint64_t> best_quality = OrderQuality(graph, best);
+  for (size_t start = 1; start < options.starts; ++start) {
+    Rng rng(options.seed + start * 0x9E3779B97F4A7C15ULL);
+    std::vector<VertexId> candidate = TieBrokenMinFillOrder(graph, &rng);
+    std::pair<int, uint64_t> quality = OrderQuality(graph, candidate);
+    if (quality < best_quality) {
+      best_quality = quality;
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+// ---------------------------------------------------------------------------
+// Graph families.
+// ---------------------------------------------------------------------------
+
+Graph StarGraph(size_t leaves) {
+  Graph g(leaves + 1);
+  for (VertexId v = 1; v <= leaves; ++v) g.AddEdge(0, v);
+  return g;
+}
+
+Graph DisjointUnion(const std::vector<Graph>& parts) {
+  Graph g;
+  for (const Graph& part : parts) {
+    VertexId offset = static_cast<VertexId>(g.NumVertices());
+    for (size_t i = 0; i < part.NumVertices(); ++i) g.AddVertex();
+    for (auto [u, v] : part.Edges()) g.AddEdge(u + offset, v + offset);
+  }
+  return g;
+}
+
+// The same graph under a random vertex relabeling, so lowest-id tie-breaks
+// land on different vertices than the generators' construction order.
+Graph Relabeled(const Graph& graph, Rng* rng) {
+  std::vector<VertexId> label(graph.NumVertices());
+  for (size_t i = 0; i < label.size(); ++i) label[i] = static_cast<VertexId>(i);
+  rng->Shuffle(&label);
+  Graph g(graph.NumVertices());
+  for (auto [u, v] : graph.Edges()) g.AddEdge(label[u], label[v]);
+  return g;
+}
+
+Graph SchemaGaifman(const Schema& schema) {
+  return GaifmanGraph(EncodeSchema(schema).structure);
+}
+
+// The fixed families every heuristic must agree on.
+std::vector<std::pair<std::string, Graph>> StructuredGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("edgeless-1", Graph(1));
+  graphs.emplace_back("edgeless-7", Graph(7));
+  graphs.emplace_back("path-12", PathGraph(12));
+  graphs.emplace_back("cycle-9", CycleGraph(9));
+  graphs.emplace_back("complete-7", CompleteGraph(7));
+  graphs.emplace_back("star-15", StarGraph(15));
+  graphs.emplace_back("grid-5x6", GridGraph(5, 6));
+  graphs.emplace_back("grid-7x7", GridGraph(7, 7));
+  graphs.emplace_back("petersen", PetersenGraph());
+  graphs.emplace_back("union-path-cycle-k5-star",
+                      DisjointUnion({PathGraph(6), CycleGraph(5),
+                                     CompleteGraph(5), StarGraph(4)}));
+  graphs.emplace_back("union-grids-isolated",
+                      DisjointUnion({GridGraph(3, 4), Graph(3), GridGraph(4, 3),
+                                     PetersenGraph()}));
+  return graphs;
+}
+
+// Asserts that every heuristic's order equals the reference's on `graph`.
+void ExpectOrdersMatchOracle(const Graph& graph, const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(HeuristicOrder(graph, TdHeuristic::kMinDegree),
+            GreedyOrder(graph, /*min_fill=*/false));
+  EXPECT_EQ(HeuristicOrder(graph, TdHeuristic::kMinFill),
+            GreedyOrder(graph, /*min_fill=*/true));
+  EXPECT_EQ(HeuristicOrder(graph, TdHeuristic::kMinFillTieBreak),
+            TieBrokenMinFillOrder(graph, nullptr));
+}
+
+// Asserts that the seeded best-of-K order equals the reference's.
+void ExpectMultiStartMatchesOracle(const Graph& graph, const std::string& label,
+                                   uint64_t seed) {
+  SCOPED_TRACE(label);
+  for (size_t starts : {1, 2, 5, 8}) {
+    MultiStartOptions options;
+    options.starts = starts;
+    options.seed = seed + starts;
+    EXPECT_EQ(MinFillMultiStartOrder(graph, options),
+              OracleMultiStartOrder(graph, options))
+        << "starts=" << starts;
+  }
+}
+
+TEST(HeuristicsOracleTest, StructuredFamiliesMatch) {
+  uint64_t seed = TestSeed();
+  for (const auto& [label, graph] : StructuredGraphs()) {
+    ExpectOrdersMatchOracle(graph, label);
+    ExpectMultiStartMatchesOracle(graph, label, seed);
+  }
+  EXPECT_TRUE(HeuristicOrder(Graph(0), TdHeuristic::kMinFill).empty());
+}
+
+TEST(HeuristicsOracleTest, GnpGraphsMatch) {
+  Rng rng(TestSeed());
+  for (double p : {0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9}) {
+    for (size_t n : {8, 20, 40}) {
+      Graph g = RandomGnp(n, p, &rng);
+      std::string label = "gnp n=" + std::to_string(n) +
+                          " p=" + std::to_string(p);
+      ExpectOrdersMatchOracle(g, label);
+      ExpectMultiStartMatchesOracle(g, label, rng.engine()());
+    }
+  }
+}
+
+TEST(HeuristicsOracleTest, PartialKTreesMatch) {
+  Rng rng(TestSeed());
+  for (int k = 1; k <= 6; ++k) {
+    for (size_t n : {30, 80, 150}) {
+      for (double keep : {0.5, 0.8}) {
+        Graph g = RandomPartialKTree(n, k, keep, &rng);
+        std::string label = "partial " + std::to_string(k) + "-tree n=" +
+                            std::to_string(n) + " keep=" + std::to_string(keep);
+        ExpectOrdersMatchOracle(g, label);
+        ExpectOrdersMatchOracle(Relabeled(g, &rng), label + " relabeled");
+        if (n <= 80) ExpectMultiStartMatchesOracle(g, label, rng.engine()());
+      }
+    }
+  }
+}
+
+// A few large instances: hubs of degree ~n/4 and long runs of equal scores.
+TEST(HeuristicsOracleTest, LargePartialKTreesMatch) {
+  Rng rng(TestSeed());
+  for (int k : {1, 4, 6}) {
+    Graph g = Relabeled(RandomPartialKTree(500, k, 0.6, &rng), &rng);
+    SCOPED_TRACE("partial " + std::to_string(k) + "-tree n=500 relabeled");
+    EXPECT_EQ(HeuristicOrder(g, TdHeuristic::kMinFill),
+              GreedyOrder(g, /*min_fill=*/true));
+    EXPECT_EQ(HeuristicOrder(g, TdHeuristic::kMinDegree),
+              GreedyOrder(g, /*min_fill=*/false));
+  }
+  Graph g = RandomPartialKTree(300, 5, 0.6, &rng);
+  EXPECT_EQ(HeuristicOrder(g, TdHeuristic::kMinFillTieBreak),
+            TieBrokenMinFillOrder(g, nullptr));
+  MultiStartOptions options;
+  options.starts = 3;
+  options.seed = rng.engine()();
+  EXPECT_EQ(MinFillMultiStartOrder(g, options),
+            OracleMultiStartOrder(g, options));
+}
+
+TEST(HeuristicsOracleTest, SchemaGaifmanGraphsMatch) {
+  Rng rng(TestSeed());
+  for (int attributes : {20, 60, 120}) {
+    Graph g = SchemaGaifman(
+        RandomWindowSchema(attributes, 2 * attributes / 3, 5, &rng));
+    std::string label = "window schema n=" + std::to_string(attributes);
+    ExpectOrdersMatchOracle(g, label);
+    ExpectMultiStartMatchesOracle(g, label, rng.engine()());
+  }
+  for (int fds : {7, 40, 100}) {
+    Graph g = SchemaGaifman(GenerateBalancedInstance(fds).schema);
+    std::string label = "balanced schema fds=" + std::to_string(fds);
+    ExpectOrdersMatchOracle(g, label);
+    ExpectMultiStartMatchesOracle(g, label, rng.engine()());
+  }
+}
+
+}  // namespace
+}  // namespace treedl
