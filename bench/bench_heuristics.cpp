@@ -1,22 +1,20 @@
 // Decomposition-quality ablation: min-fill vs min-degree vs MCS vs the
-// tie-broken min-fill and the full preprocessing pipeline, all against the
-// exact treewidth on random graphs (the substrate substitution for
-// Bodlaender's algorithm documented in DESIGN.md).
+// tie-broken min-fill, all against the exact treewidth on random graphs (the
+// substrate substitution for Bodlaender's algorithm documented in DESIGN.md).
 //
 // A second, printed-only table times the greedy heuristics on partial
 // 6-trees of growing size (the ROADMAP's min-fill scaling table).
 //
 // Flags: --quick shrinks the graph count for CI; --json <path> additionally
-// writes the deterministic quality counters (total widths per heuristic,
-// pipeline excess over exact, reduction-rule fire counts, proven lower
-// bounds — no wall-clock, so the artifact is comparable across runners).
+// writes the deterministic quality counters (total widths per heuristic and
+// of the exact treewidth — no wall-clock, so the artifact is comparable
+// across runners).
 #include <cstdio>
 #include <cstring>
 
 #include "common/timer.hpp"
 #include "graph/generators.hpp"
 #include "td/heuristics.hpp"
-#include "td/improve.hpp"
 
 namespace treedl {
 namespace {
@@ -36,12 +34,6 @@ struct QualityTotals {
   size_t min_degree_width = 0;
   size_t mcs_width = 0;
   size_t tie_break_width = 0;
-  size_t pipeline_width = 0;
-  size_t pipeline_wins = 0;  // instances where the pipeline candidate shipped
-  size_t lower_bound = 0;    // preprocessing-proven lower bounds, summed
-  size_t eliminated = 0;     // vertices removed by the reductions
-  size_t merges = 0;         // width-reduction bag merges
-  ReductionCounters reductions;
 };
 
 size_t WidthOf(const Graph& graph, TdHeuristic heuristic) {
@@ -50,40 +42,16 @@ size_t WidthOf(const Graph& graph, TdHeuristic heuristic) {
   return static_cast<size_t>(td->Width());
 }
 
-QualityTotals CollectTotals(const BenchConfig& config,
-                            const std::vector<Graph>& graphs,
+QualityTotals CollectTotals(const std::vector<Graph>& graphs,
                             const std::vector<int>& exact) {
   QualityTotals totals;
   for (size_t i = 0; i < graphs.size(); ++i) {
     const Graph& graph = graphs[i];
-    size_t min_fill = WidthOf(graph, TdHeuristic::kMinFill);
     totals.exact_width += static_cast<size_t>(exact[i]);
-    totals.min_fill_width += min_fill;
+    totals.min_fill_width += WidthOf(graph, TdHeuristic::kMinFill);
     totals.min_degree_width += WidthOf(graph, TdHeuristic::kMinDegree);
     totals.mcs_width += WidthOf(graph, TdHeuristic::kMcs);
     totals.tie_break_width += WidthOf(graph, TdHeuristic::kMinFillTieBreak);
-
-    PipelineOptions popts;
-    popts.seed = config.seed + i;
-    PipelineStats stats;
-    auto td = DecomposePipeline(graph, popts, &stats);
-    TREEDL_CHECK(td.ok()) << td.status();
-    size_t pipeline = static_cast<size_t>(td->Width());
-    // The portfolio guarantee: never worse than plain min-fill, never better
-    // than exact, and the proven lower bound never exceeds the exact width.
-    TREEDL_CHECK(pipeline <= min_fill);
-    TREEDL_CHECK(pipeline >= static_cast<size_t>(exact[i]));
-    TREEDL_CHECK(stats.lower_bound <= exact[i]);
-    totals.pipeline_width += pipeline;
-    totals.pipeline_wins += stats.used_pipeline ? 1 : 0;
-    totals.lower_bound += static_cast<size_t>(stats.lower_bound);
-    totals.eliminated += stats.eliminated;
-    totals.merges += stats.merges;
-    totals.reductions.isolated += stats.reductions.isolated;
-    totals.reductions.pendant += stats.reductions.pendant;
-    totals.reductions.series += stats.reductions.series;
-    totals.reductions.simplicial += stats.reductions.simplicial;
-    totals.reductions.almost_simplicial += stats.reductions.almost_simplicial;
   }
   return totals;
 }
@@ -113,22 +81,6 @@ void PrintTable(const BenchConfig& config, const std::vector<Graph>& graphs,
     }
     double ms = timer.ElapsedMillis() / static_cast<double>(graphs.size());
     std::printf("%10s %10.2f %10.2f %12.3f\n", row.name,
-                total_width / static_cast<double>(graphs.size()),
-                total_excess / static_cast<double>(graphs.size()), ms);
-  }
-  {
-    double total_width = 0, total_excess = 0;
-    Timer timer;
-    for (size_t i = 0; i < graphs.size(); ++i) {
-      PipelineOptions popts;
-      popts.seed = config.seed + i;
-      auto td = DecomposePipeline(graphs[i], popts);
-      TREEDL_CHECK(td.ok());
-      total_width += td->Width();
-      total_excess += td->Width() - exact[static_cast<size_t>(i)];
-    }
-    double ms = timer.ElapsedMillis() / static_cast<double>(graphs.size());
-    std::printf("%10s %10.2f %10.2f %12.3f\n", "pipeline",
                 total_width / static_cast<double>(graphs.size()),
                 total_excess / static_cast<double>(graphs.size()), ms);
   }
@@ -184,29 +136,12 @@ void WriteJson(const BenchConfig& config, const QualityTotals& totals) {
                "  \"min_fill_width_total\": %zu,\n"
                "  \"min_degree_width_total\": %zu,\n"
                "  \"mcs_width_total\": %zu,\n"
-               "  \"tie_break_width_total\": %zu,\n"
-               "  \"pipeline_width_total\": %zu,\n"
-               "  \"pipeline_excess_total\": %zu,\n"
-               "  \"pipeline_wins\": %zu,\n"
-               "  \"lower_bound_total\": %zu,\n"
-               "  \"eliminated_vertices\": %zu,\n"
-               "  \"width_reduce_merges\": %zu,\n"
-               "  \"reduce_isolated\": %zu,\n"
-               "  \"reduce_pendant\": %zu,\n"
-               "  \"reduce_series\": %zu,\n"
-               "  \"reduce_simplicial\": %zu,\n"
-               "  \"reduce_almost_simplicial\": %zu\n"
+               "  \"tie_break_width_total\": %zu\n"
                "}\n",
                config.vertices, static_cast<unsigned long long>(config.seed),
                config.graphs, totals.exact_width, totals.min_fill_width,
                totals.min_degree_width, totals.mcs_width,
-               totals.tie_break_width, totals.pipeline_width,
-               totals.pipeline_width - totals.exact_width,
-               totals.pipeline_wins, totals.lower_bound, totals.eliminated,
-               totals.merges, totals.reductions.isolated,
-               totals.reductions.pendant, totals.reductions.series,
-               totals.reductions.simplicial,
-               totals.reductions.almost_simplicial);
+               totals.tie_break_width);
   std::fclose(out);
   std::printf("  wrote %s\n", config.json_path);
 }
@@ -222,7 +157,7 @@ void RunHeuristicsBench(const BenchConfig& config) {
   PrintTable(config, graphs, exact);
   PrintScalingTable(config);
   if (config.json_path != nullptr) {
-    WriteJson(config, CollectTotals(config, graphs, exact));
+    WriteJson(config, CollectTotals(graphs, exact));
   }
 }
 

@@ -8,8 +8,8 @@
 //              so the hit rate converges to (requests - N) / requests. Ends
 //              with SAVE per tenant into a session directory.
 //   warm     — a fresh Server over the same session directory. LOAD+SOLVEALL
-//              per tenant must do ZERO encode/TD/normalize builds (checked
-//              via the GlobalEngineCounters delta): the amortization story of
+//              per tenant must do ZERO encode/TD/normalize builds (summed
+//              over the per-tenant STATS replies): the amortization story of
 //              the paper's §5.3, across process restarts.
 //   churn    — max_sessions=2, tenants round-robin twice: deterministic LRU
 //              eviction traffic.
@@ -135,6 +135,13 @@ ColdResult RunColdPhase(const BenchConfig& config,
   return result;
 }
 
+/// The value of ` key=<n>` in a STATS reply line (0 when absent).
+size_t StatsValue(const std::string& line, const std::string& key) {
+  size_t pos = line.find(" " + key + "=");
+  if (pos == std::string::npos) return 0;
+  return std::stoul(line.substr(pos + key.size() + 2));
+}
+
 struct WarmResult {
   size_t warm_loads = 0;
   size_t encode_builds = 0;
@@ -158,19 +165,26 @@ WarmResult RunWarmPhase(const BenchConfig& config,
     script += loads[i] + "\n";
     script += "SOLVEALL g" + std::to_string(i) + "\n";
   }
+  for (size_t i = 0; i < config.structures; ++i) {
+    script += "STATS g" + std::to_string(i) + "\n";
+  }
   script += "QUIT\n";
+  std::string transcript;
+  RunScript(&server, script, &transcript);
 
-  EngineCounters& global = GlobalEngineCounters();
-  size_t encode_before = global.encode_builds.load();
-  size_t td_before = global.td_builds.load();
-  size_t normalize_before = global.normalize_builds.load();
-  RunScript(&server, script, nullptr);
-
+  // Each tenant's STATS reply carries its session's cumulative builds; every
+  // session must still be resident for the sum to cover all of them.
   WarmResult result;
+  size_t resident = 0;
+  for (const std::string& line : Split(transcript, '\n')) {
+    if (line.rfind("OK STATS tenant=", 0) != 0) continue;
+    resident += StatsValue(line, "resident");
+    result.encode_builds += StatsValue(line, "encode_builds");
+    result.td_builds += StatsValue(line, "td_builds");
+    result.normalize_builds += StatsValue(line, "normalize_builds");
+  }
+  TREEDL_CHECK(resident == config.structures) << transcript;
   result.warm_loads = server.pool().counters().warm_loads;
-  result.encode_builds = global.encode_builds.load() - encode_before;
-  result.td_builds = global.td_builds.load() - td_before;
-  result.normalize_builds = global.normalize_builds.load() - normalize_before;
   result.errors = server.stats().replies_error;
   return result;
 }

@@ -4,10 +4,9 @@
 //
 // Flags: --quick replaces the PRIMALITY timing sweep with the deterministic
 // decomposition-quality sweep alone (for CI); --json <path> writes the
-// quality counters: plain min-fill vs the full pipeline on every instance's
-// Gaifman graph — total widths, regressions (must be zero: the pipeline
-// keeps the legacy candidate as a fallback), and how often the modeled DP
-// cost (Normalize + EstimateNodeCost) strictly improved.
+// quality counters: the total width and modeled DP cost (Normalize +
+// EstimateNodeCost) of the default min-fill decomposition of every
+// instance's Gaifman graph.
 #include <cstdio>
 #include <cstring>
 
@@ -30,19 +29,11 @@ struct BenchConfig {
 constexpr int kWindows[] = {2, 3, 4, 5, 6};
 constexpr int kVariants = 3;  // seed variants per window
 
-/// Deterministic baseline-vs-pipeline totals over the instance family.
+/// Deterministic min-fill totals over the instance family.
 struct QualityTotals {
   size_t instances = 0;
-  size_t baseline_width = 0;  // plain kMinFill, the PR 9 decomposition
-  size_t pipeline_width = 0;
-  size_t width_improved = 0;    // pipeline width strictly below baseline
-  size_t width_regressions = 0; // pipeline width above baseline (must be 0)
-  size_t cost_improved = 0;     // modeled DP cost strictly below baseline
-  uint64_t baseline_cost = 0;   // Σ NormalizedDpCost
-  uint64_t pipeline_cost = 0;
-  size_t pipeline_wins = 0;     // instances where the pipeline candidate shipped
-  size_t eliminated = 0;        // vertices removed by preprocessing
-  size_t merges = 0;            // width-reduction bag merges
+  size_t baseline_width = 0;  // plain kMinFill, the session decomposition
+  uint64_t baseline_cost = 0;  // Σ NormalizedDpCost
 };
 
 Graph InstanceGaifman(int window, int variant) {
@@ -58,37 +49,13 @@ QualityTotals CollectTotals() {
   for (int window : kWindows) {
     for (int variant = 0; variant < kVariants; ++variant) {
       Graph graph = InstanceGaifman(window, variant);
-
       auto baseline = Decompose(graph, TdHeuristic::kMinFill);
       TREEDL_CHECK(baseline.ok()) << baseline.status();
-      uint64_t baseline_cost = NormalizedDpCost(*baseline).value();
-
-      PipelineOptions popts;
-      popts.seed = static_cast<uint64_t>(window) * 1000 +
-                   static_cast<uint64_t>(variant);
-      PipelineStats stats;
-      auto pipeline = DecomposePipeline(graph, popts, &stats);
-      TREEDL_CHECK(pipeline.ok()) << pipeline.status();
-      uint64_t pipeline_cost = NormalizedDpCost(*pipeline).value();
-
       ++totals.instances;
       totals.baseline_width += static_cast<size_t>(baseline->Width());
-      totals.pipeline_width += static_cast<size_t>(pipeline->Width());
-      if (pipeline->Width() < baseline->Width()) ++totals.width_improved;
-      if (pipeline->Width() > baseline->Width()) ++totals.width_regressions;
-      if (pipeline_cost < baseline_cost) ++totals.cost_improved;
-      totals.baseline_cost += baseline_cost;
-      totals.pipeline_cost += pipeline_cost;
-      totals.pipeline_wins += stats.used_pipeline ? 1 : 0;
-      totals.eliminated += stats.eliminated;
-      totals.merges += stats.merges;
+      totals.baseline_cost += NormalizedDpCost(*baseline).value();
     }
   }
-  // The acceptance bar of the decomposition-quality pipeline: width never
-  // regresses on any instance, and the modeled DP cost strictly improves on
-  // at least 30% of the family.
-  TREEDL_CHECK(totals.width_regressions == 0);
-  TREEDL_CHECK(totals.cost_improved * 10 >= totals.instances * 3);
   return totals;
 }
 
@@ -102,44 +69,22 @@ void WriteJson(const BenchConfig& config, const QualityTotals& totals) {
                "  \"num_fds\": 24,\n"
                "  \"instances\": %zu,\n"
                "  \"baseline_width_total\": %zu,\n"
-               "  \"pipeline_width_total\": %zu,\n"
-               "  \"width_improved\": %zu,\n"
-               "  \"width_regressions\": %zu,\n"
-               "  \"cost_improved\": %zu,\n"
-               "  \"baseline_cost_total\": %llu,\n"
-               "  \"pipeline_cost_total\": %llu,\n"
-               "  \"pipeline_wins\": %zu,\n"
-               "  \"eliminated_vertices\": %zu,\n"
-               "  \"width_reduce_merges\": %zu\n"
+               "  \"baseline_cost_total\": %llu\n"
                "}\n",
-               totals.instances, totals.baseline_width, totals.pipeline_width,
-               totals.width_improved, totals.width_regressions,
-               totals.cost_improved,
-               static_cast<unsigned long long>(totals.baseline_cost),
-               static_cast<unsigned long long>(totals.pipeline_cost),
-               totals.pipeline_wins, totals.eliminated, totals.merges);
+               totals.instances, totals.baseline_width,
+               static_cast<unsigned long long>(totals.baseline_cost));
   std::fclose(out);
   std::printf("  wrote %s\n", config.json_path);
 }
 
 void RunQualitySweep(const BenchConfig& config) {
   QualityTotals totals = CollectTotals();
-  std::printf("Decomposition quality: min-fill baseline vs pipeline\n");
+  std::printf("Decomposition quality: min-fill\n");
   std::printf("(%zu FD-window Gaifman graphs, 36 attrs, 24 FDs)\n",
               totals.instances);
-  std::printf(
-      "  width: baseline %zu -> pipeline %zu (improved on %zu, regressed on "
-      "%zu)\n",
-      totals.baseline_width, totals.pipeline_width, totals.width_improved,
-      totals.width_regressions);
-  std::printf(
-      "  modeled DP cost: baseline %llu -> pipeline %llu (improved on "
-      "%zu/%zu)\n",
-      static_cast<unsigned long long>(totals.baseline_cost),
-      static_cast<unsigned long long>(totals.pipeline_cost),
-      totals.cost_improved, totals.instances);
-  std::printf("  reductions: %zu vertices eliminated, %zu bag merges\n",
-              totals.eliminated, totals.merges);
+  std::printf("  width total %zu, modeled DP cost total %llu\n",
+              totals.baseline_width,
+              static_cast<unsigned long long>(totals.baseline_cost));
   if (config.json_path != nullptr) WriteJson(config, totals);
 }
 

@@ -27,6 +27,10 @@ namespace treedl {
 
 namespace {
 
+// Shard tasks per worker thread the shard-bags pass aims for (more shards =
+// better load balance, more scheduling overhead).
+constexpr size_t kShardsPerThread = 4;
+
 StatusOr<Structure> RunBackend(const datalog::Program& program,
                                const Structure& edb, DatalogBackend backend,
                                const datalog::EvalExec& exec, RunStats* stats) {
@@ -165,7 +169,6 @@ StatusOr<const SchemaEncoding*> Engine::EnsureEncoding(RunStats* stats) {
   if (encoding_ == nullptr) {
     encoding_ = std::make_unique<SchemaEncoding>(EncodeSchema(*schema_));
     ++stats->encode_builds;
-    ++GlobalEngineCounters().encode_builds;
   } else {
     ++stats->cache_hits;
   }
@@ -200,12 +203,6 @@ StatusOr<const TreeDecomposition*> Engine::EnsureTd(RunStats* stats) {
     if (options_.elimination_order.has_value()) {
       return DecompositionFromOrder(*gaifman, *options_.elimination_order);
     }
-    if (options_.td_pipeline) {
-      PipelineOptions popts;
-      popts.starts = options_.td_pipeline_starts;
-      popts.seed = SessionFingerprint();
-      return DecomposePipeline(*gaifman, popts);
-    }
     return Decompose(*gaifman, options_.heuristic);
   }();
   TREEDL_RETURN_IF_ERROR(td.status());
@@ -220,7 +217,6 @@ StatusOr<const TreeDecomposition*> Engine::EnsureTd(RunStats* stats) {
   }
   td_ = std::move(td).value();
   ++stats->td_builds;
-  ++GlobalEngineCounters().td_builds;
   return &*td_;
 }
 
@@ -266,15 +262,13 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
   state.normalize_options = core::internal::PrimalityNormalizeOptions(
       *encoding_, /*for_enumeration=*/true);
   engine::PassPipeline pipeline;
-  if (options_.td_pipeline) pipeline.Emplace<engine::WidthReducePass>();
   pipeline.Emplace<engine::NormalizePass>();
   // Parallel sessions shard the enumeration normal form too, on the same
   // cost model as the graph-DP sharding (3^|bag| fits the Fig. 6 state
   // explosion just as well).
   size_t threads = ResolvedNumThreads();
   if (threads > 1) {
-    pipeline.Emplace<engine::ShardBagsPass>(threads *
-                                            options_.shards_per_thread);
+    pipeline.Emplace<engine::ShardBagsPass>(threads * kShardsPerThread);
   }
   TREEDL_RETURN_IF_ERROR(
       pipeline.Run(state, options_.collect_pass_timings ? stats : nullptr));
@@ -283,7 +277,6 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
     enum_sharding_ = *std::move(state.sharding);
   }
   ++stats->normalize_builds;
-  ++GlobalEngineCounters().normalize_builds;
   return &*enum_ntd_;
 }
 
@@ -297,13 +290,11 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsurePlainNtd(
   engine::PipelineState state;
   state.td = *td;
   engine::PassPipeline pipeline;
-  if (options_.td_pipeline) pipeline.Emplace<engine::WidthReducePass>();
   pipeline.Emplace<engine::NormalizePass>();
   // Parallel sessions shard right after normalization, on the same spine.
   size_t threads = ResolvedNumThreads();
   if (threads > 1) {
-    pipeline.Emplace<engine::ShardBagsPass>(threads *
-                                            options_.shards_per_thread);
+    pipeline.Emplace<engine::ShardBagsPass>(threads * kShardsPerThread);
   }
   TREEDL_RETURN_IF_ERROR(
       pipeline.Run(state, options_.collect_pass_timings ? stats : nullptr));
@@ -312,7 +303,6 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsurePlainNtd(
     sharding_ = *std::move(state.sharding);
   }
   ++stats->normalize_builds;
-  ++GlobalEngineCounters().normalize_builds;
   return &*plain_ntd_;
 }
 
@@ -328,7 +318,6 @@ StatusOr<const datalog::TauTdEncoding*> Engine::EnsureTauTd(RunStats* stats) {
                           datalog::BuildTauTd(*structure, tuple));
   tau_td_ = std::move(encoding);
   ++stats->normalize_builds;
-  ++GlobalEngineCounters().normalize_builds;
   return &*tau_td_;
 }
 
@@ -404,7 +393,6 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
     TREEDL_RETURN_IF_ERROR(
         pipeline.Run(state, options_.collect_pass_timings ? s : nullptr));
     ++s->normalize_builds;
-    ++GlobalEngineCounters().normalize_builds;
     return core::internal::DecidePrimePrepared(*context, *state.normalized,
                                                a_elem, s);
   }();
@@ -746,7 +734,6 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     // at least may have), so recompile on demand.
     mso_programs_.clear();
     ++s->td_builds;
-    ++GlobalEngineCounters().td_builds;
     return out;
   }();
   s->total_millis = timer.ElapsedMillis();
@@ -947,7 +934,7 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
       size_t threads = ResolvedNumThreads();
       if (threads > 1 && !sharding_.has_value()) {
         sharding_ = ComputeBagShardingByCost(
-            *plain_ntd_, threads * options_.shards_per_thread);
+            *plain_ntd_, threads * kShardsPerThread);
       }
     }
     if (artifacts.enum_ntd.has_value() && !enum_ntd_.has_value()) {
@@ -958,7 +945,7 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
       size_t threads = ResolvedNumThreads();
       if (threads > 1 && !enum_sharding_.has_value()) {
         enum_sharding_ = ComputeBagShardingByCost(
-            *enum_ntd_, threads * options_.shards_per_thread);
+            *enum_ntd_, threads * kShardsPerThread);
       }
     }
     if (artifacts.tau_td.has_value() && !tau_td_.has_value()) {

@@ -10,7 +10,6 @@
 #ifndef TREEDL_ENGINE_RUN_STATS_HPP_
 #define TREEDL_ENGINE_RUN_STATS_HPP_
 
-#include <atomic>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -165,17 +164,6 @@ struct RunStats {
   /// One-line human-readable rendering (implemented in engine/stats.cpp).
   std::string ToString() const;
 };
-
-/// Process-wide build counters, bumped by every Engine. Tests use the deltas
-/// to demonstrate the §5.3 amortization argument: N queries on one Engine
-/// cost one encoding + one decomposition, N one-shot Engines cost N of each.
-struct EngineCounters {
-  std::atomic<size_t> encode_builds{0};
-  std::atomic<size_t> td_builds{0};
-  std::atomic<size_t> normalize_builds{0};
-};
-
-EngineCounters& GlobalEngineCounters();
 
 }  // namespace treedl
 

@@ -2,13 +2,7 @@
 
 #include <sstream>
 
-
 namespace treedl {
-
-EngineCounters& GlobalEngineCounters() {
-  static EngineCounters counters;
-  return counters;
-}
 
 std::string RunStats::ToString() const {
   std::ostringstream out;

@@ -53,6 +53,27 @@ StatusOr<std::string> TakePayload(std::string_view* rest,
   return std::string(payload);
 }
 
+// A decimal work-unit count (DEADLINE, REOPT): every value up to UINT64_MAX
+// parses, anything larger overflows.
+StatusOr<uint64_t> ParseUnits(std::string_view token, std::string_view command,
+                              std::string_view expected) {
+  uint64_t units = 0;
+  for (char c : token) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) {
+      return Status::ParseError(std::string(command) + ": '" +
+                                std::string(token) + "' is not " +
+                                std::string(expected));
+    }
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (units > (UINT64_MAX - digit) / 10) {
+      return Status::ParseError(std::string(command) +
+                                ": unit count overflows");
+    }
+    units = units * 10 + digit;
+  }
+  return units;
+}
+
 Status ExpectEnd(std::string_view* rest, std::string_view command) {
   if (!Trim(*rest).empty()) {
     return Status::ParseError(std::string(command) +
@@ -239,18 +260,8 @@ StatusOr<std::optional<Request>> ParseRequest(std::string_view line) {
     TREEDL_RETURN_IF_ERROR(ExpectEnd(&rest, "DEADLINE"));
     DeadlineRequest deadline;
     if (token != "OFF") {
-      uint64_t units = 0;
-      for (char c : token) {
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          return Status::ParseError("DEADLINE: '" + std::string(token) +
-                                    "' is not a unit count or OFF");
-        }
-        if (units > (UINT64_MAX - 9) / 10) {
-          return Status::ParseError("DEADLINE: unit count overflows");
-        }
-        units = units * 10 + static_cast<uint64_t>(c - '0');
-      }
-      deadline.units = units;
+      TREEDL_ASSIGN_OR_RETURN(
+          deadline.units, ParseUnits(token, "DEADLINE", "a unit count or OFF"));
     }
     return std::optional<Request>(Request(deadline));
   }
@@ -261,17 +272,8 @@ StatusOr<std::optional<Request>> ParseRequest(std::string_view line) {
       return Status::ParseError("REOPT: expected a unit count");
     }
     TREEDL_RETURN_IF_ERROR(ExpectEnd(&rest, "REOPT"));
-    uint64_t units = 0;
-    for (char c : token) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) {
-        return Status::ParseError("REOPT: '" + std::string(token) +
-                                  "' is not a unit count");
-      }
-      if (units > (UINT64_MAX - 9) / 10) {
-        return Status::ParseError("REOPT: unit count overflows");
-      }
-      units = units * 10 + static_cast<uint64_t>(c - '0');
-    }
+    TREEDL_ASSIGN_OR_RETURN(uint64_t units,
+                            ParseUnits(token, "REOPT", "a unit count"));
     return std::optional<Request>(Request(ReoptRequest{std::move(tenant), units}));
   }
   if (command == "CLOSE") {

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <compare>
-#include <iterator>
 #include <limits>
 #include <set>
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/rng.hpp"
 #include "graph/gaifman.hpp"
 #include "td/elimination_order.hpp"
 
@@ -63,25 +61,13 @@ class Eliminator {
     }
   }
 
-  // The elimination order. With a non-null `rng`, ties on the score are
-  // broken uniformly at random instead of by lowest id: the tied vertices
-  // are taken in ascending id and the rng is drawn only when there are at
-  // least two of them.
-  std::vector<VertexId> Run(Rng* rng) {
+  // Eliminates every vertex, smallest (score, id) first; returns the order.
+  std::vector<VertexId> Run() {
     std::vector<VertexId> order;
     order.reserve(adj_.size());
     while (!queue_.empty()) {
-      auto best = queue_.begin();
-      if (rng != nullptr) {
-        size_t ties = 0;
-        for (auto it = best; it != queue_.end() && SameScore(*it, *best);
-             ++it) {
-          ++ties;
-        }
-        if (ties > 1) std::advance(best, rng->UniformIndex(ties));
-      }
-      VertexId v = best->id;
-      queue_.erase(best);
+      VertexId v = queue_.begin()->id;
+      queue_.erase(queue_.begin());
       order.push_back(v);
       Eliminate(v);
       Requeue();
@@ -96,10 +82,6 @@ class Eliminator {
     VertexId id;
     auto operator<=>(const Key&) const = default;
   };
-
-  static bool SameScore(const Key& a, const Key& b) {
-    return a.primary == b.primary && a.secondary == b.secondary;
-  }
 
   bool TracksFill() const { return heuristic_ != TdHeuristic::kMinDegree; }
 
@@ -226,23 +208,6 @@ std::vector<VertexId> McsOrder(const Graph& graph) {
   return visit_order;
 }
 
-// (induced width, Σ 3^min(|bag|, 20)) of an order — the same state-count
-// model as td::EstimateNodeCost, aggregated over the raw bags, used to rank
-// multi-start candidates without normalizing each one.
-std::pair<int, uint64_t> OrderQuality(const Graph& graph,
-                                      const std::vector<VertexId>& order) {
-  StatusOr<TreeDecomposition> td = DecompositionFromOrder(graph, order);
-  TREEDL_CHECK(td.ok()) << td.status();
-  uint64_t cost = 0;
-  for (size_t id = 0; id < td->NumNodes(); ++id) {
-    size_t b = std::min<size_t>(td->Bag(static_cast<TdNodeId>(id)).size(), 20);
-    uint64_t states = 1;
-    for (size_t i = 0; i < b; ++i) states *= 3;
-    cost += states;
-  }
-  return {td->Width(), cost};
-}
-
 }  // namespace
 
 std::vector<VertexId> HeuristicOrder(const Graph& graph,
@@ -251,32 +216,12 @@ std::vector<VertexId> HeuristicOrder(const Graph& graph,
     case TdHeuristic::kMinDegree:
     case TdHeuristic::kMinFill:
     case TdHeuristic::kMinFillTieBreak:
-      return Eliminator(graph, heuristic).Run(/*rng=*/nullptr);
+      return Eliminator(graph, heuristic).Run();
     case TdHeuristic::kMcs:
       return McsOrder(graph);
   }
   TREEDL_CHECK(false) << "unknown heuristic";
   return {};
-}
-
-std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
-                                             const MultiStartOptions& options) {
-  TREEDL_CHECK(graph.NumVertices() > 0);
-  std::vector<VertexId> best =
-      Eliminator(graph, TdHeuristic::kMinFillTieBreak).Run(/*rng=*/nullptr);
-  std::pair<int, uint64_t> best_quality = OrderQuality(graph, best);
-  for (size_t start = 1; start < options.starts; ++start) {
-    // One independent deterministic stream per restart (golden-ratio step).
-    Rng rng(options.seed + start * 0x9E3779B97F4A7C15ULL);
-    std::vector<VertexId> candidate =
-        Eliminator(graph, TdHeuristic::kMinFillTieBreak).Run(&rng);
-    std::pair<int, uint64_t> quality = OrderQuality(graph, candidate);
-    if (quality < best_quality) {
-      best_quality = quality;
-      best = std::move(candidate);
-    }
-  }
-  return best;
 }
 
 StatusOr<TreeDecomposition> Decompose(const Graph& graph,

@@ -40,25 +40,6 @@ enum class TdHeuristic {
 /// removed or added (Δ is the maximum current degree). kMcs is O(n²).
 std::vector<VertexId> HeuristicOrder(const Graph& graph, TdHeuristic heuristic);
 
-struct MultiStartOptions {
-  /// Total orders tried: the deterministic (fill, degree, id) order plus
-  /// starts - 1 randomized-tie-break restarts.
-  size_t starts = 8;
-  /// Base seed of the randomized restarts. The decomposition-quality
-  /// pipeline passes the session fingerprint here, making the multi-start
-  /// result a pure function of the session input.
-  uint64_t seed = 0;
-};
-
-/// Best-of-K min-fill: the tie-broken deterministic order plus seeded
-/// restarts that break (fill, degree) ties uniformly at random, keeping the
-/// order with the smallest (induced width, modeled cost). A restart takes the
-/// tied vertices in ascending id and draws from its rng only when there are
-/// at least two. Deterministic per (graph, options). Requires a nonempty
-/// graph.
-std::vector<VertexId> MinFillMultiStartOrder(const Graph& graph,
-                                             const MultiStartOptions& options);
-
 /// Decomposes `graph` with `heuristic` (default: min-fill, usually the best
 /// of the three).
 StatusOr<TreeDecomposition> Decompose(const Graph& graph,

@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "common/work_budget.hpp"
 #include "td/elimination_order.hpp"
-#include "td/heuristics.hpp"
 #include "td/normalize.hpp"
 #include "td/shard.hpp"
 
@@ -219,66 +218,6 @@ StatusOr<ImproveOutcome> ImproveTd(const Graph& graph,
     out.td = td;
   }
   return out;
-}
-
-StatusOr<TreeDecomposition> DecomposePipeline(const Graph& graph,
-                                              const PipelineOptions& options,
-                                              PipelineStats* stats) {
-  if (graph.NumVertices() == 0) {
-    return Status::InvalidArgument("cannot decompose the empty graph");
-  }
-  PipelineStats local;
-  PipelineStats* st = stats != nullptr ? (*stats = PipelineStats{}, stats)
-                                       : &local;
-  PreprocessResult pre = Preprocess(graph);
-  st->reductions = pre.counters;
-  st->lower_bound = pre.lower_bound;
-  st->eliminated = pre.eliminated.size();
-
-  TreeDecomposition reduced_td;
-  if (pre.reduced.NumVertices() > 0) {
-    MultiStartOptions multi;
-    multi.starts = std::max<size_t>(1, options.starts);
-    multi.seed = options.seed;
-    TREEDL_ASSIGN_OR_RETURN(
-        reduced_td, DecompositionFromOrder(
-                        pre.reduced, MinFillMultiStartOrder(pre.reduced, multi)));
-  }
-  TREEDL_ASSIGN_OR_RETURN(TreeDecomposition pipeline,
-                          SpliceBack(pre, reduced_td));
-  {
-    TREEDL_ASSIGN_OR_RETURN(size_t merges, CostGuardedWidthReduce(&pipeline));
-    st->merges += merges;
-  }
-
-  // The legacy single-order candidate caps the result: the pipeline may only
-  // ship when it is at least as good, so callers never regress vs kMinFill —
-  // neither in width nor in normalized DP cost.
-  TREEDL_ASSIGN_OR_RETURN(TreeDecomposition legacy,
-                          Decompose(graph, TdHeuristic::kMinFill));
-  st->baseline_width = legacy.Width();
-  {
-    TREEDL_ASSIGN_OR_RETURN(size_t merges, CostGuardedWidthReduce(&legacy));
-    st->merges += merges;
-  }
-
-  TREEDL_ASSIGN_OR_RETURN(auto pipeline_quality, TdQuality(pipeline));
-  TREEDL_ASSIGN_OR_RETURN(auto legacy_quality, TdQuality(legacy));
-  st->used_pipeline = pipeline_quality <= legacy_quality;
-  TreeDecomposition best =
-      st->used_pipeline ? std::move(pipeline) : std::move(legacy);
-
-  // Polish: bounded local search with the same objective; only strict
-  // improvements are kept, so the no-regression guarantee survives.
-  if (options.improve_rounds > 0) {
-    ImproveOptions iopts;
-    iopts.seed = options.seed;
-    iopts.max_rounds = options.improve_rounds;
-    TREEDL_ASSIGN_OR_RETURN(ImproveOutcome polished,
-                            ImproveTd(graph, best, iopts));
-    if (polished.improved) best = std::move(polished.td);
-  }
-  return best;
 }
 
 }  // namespace treedl

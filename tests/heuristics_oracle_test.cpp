@@ -7,8 +7,7 @@
 // at every step over std::set adjacency. That implementation is kept here
 // as the reference, verbatim apart from a code-alignment attribute on FillIn
 // that only affected its speed: every heuristic must reproduce its orders
-// exactly (same vertices, same tie-breaks, same rng draws) on every family
-// below.
+// exactly (same vertices, same tie-breaks) on every family below.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +22,6 @@
 #include "graph/generators.hpp"
 #include "schema/encode.hpp"
 #include "schema/generators.hpp"
-#include "td/elimination_order.hpp"
 #include "td/heuristics.hpp"
 
 #include "test_util.hpp"
@@ -85,10 +83,8 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool min_fill) {
 }
 
 // Min-fill with principled tie-breaking: candidates are compared by
-// (fill, current degree, id); when `rng` is non-null, ties on (fill, degree)
-// are instead broken uniformly at random — the randomized restarts of the
-// multi-start variant.
-std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
+// (fill, current degree, id).
+std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph) {
   size_t n = graph.NumVertices();
   std::vector<std::set<VertexId>> adj(n);
   for (auto [u, v] : graph.Edges()) {
@@ -98,26 +94,17 @@ std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
   std::vector<bool> eliminated(n, false);
   std::vector<VertexId> order;
   order.reserve(n);
-  std::vector<VertexId> ties;
   for (size_t step = 0; step < n; ++step) {
     VertexId best = 0;
     auto best_score = std::make_pair(std::numeric_limits<size_t>::max(),
                                      std::numeric_limits<size_t>::max());
-    ties.clear();
     for (VertexId v = 0; v < n; ++v) {
       if (eliminated[v]) continue;
       auto score = std::make_pair(FillIn(adj, v), adj[v].size());
       if (score < best_score) {
         best_score = score;
         best = v;
-        ties.clear();
-        ties.push_back(v);
-      } else if (rng != nullptr && score == best_score) {
-        ties.push_back(v);
       }
-    }
-    if (rng != nullptr && ties.size() > 1) {
-      best = ties[rng->UniformIndex(ties.size())];
     }
     order.push_back(best);
     eliminated[best] = true;
@@ -132,36 +119,6 @@ std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph, Rng* rng) {
     adj[best].clear();
   }
   return order;
-}
-
-std::pair<int, uint64_t> OrderQuality(const Graph& graph,
-                                      const std::vector<VertexId>& order) {
-  StatusOr<TreeDecomposition> td = DecompositionFromOrder(graph, order);
-  TREEDL_CHECK(td.ok()) << td.status();
-  uint64_t cost = 0;
-  for (size_t id = 0; id < td->NumNodes(); ++id) {
-    size_t b = std::min<size_t>(td->Bag(static_cast<TdNodeId>(id)).size(), 20);
-    uint64_t states = 1;
-    for (size_t i = 0; i < b; ++i) states *= 3;
-    cost += states;
-  }
-  return {td->Width(), cost};
-}
-
-std::vector<VertexId> OracleMultiStartOrder(const Graph& graph,
-                                            const MultiStartOptions& options) {
-  std::vector<VertexId> best = TieBrokenMinFillOrder(graph, nullptr);
-  std::pair<int, uint64_t> best_quality = OrderQuality(graph, best);
-  for (size_t start = 1; start < options.starts; ++start) {
-    Rng rng(options.seed + start * 0x9E3779B97F4A7C15ULL);
-    std::vector<VertexId> candidate = TieBrokenMinFillOrder(graph, &rng);
-    std::pair<int, uint64_t> quality = OrderQuality(graph, candidate);
-    if (quality < best_quality) {
-      best_quality = quality;
-      best = std::move(candidate);
-    }
-  }
-  return best;
 }
 
 // ---------------------------------------------------------------------------
@@ -228,28 +185,12 @@ void ExpectOrdersMatchOracle(const Graph& graph, const std::string& label) {
   EXPECT_EQ(HeuristicOrder(graph, TdHeuristic::kMinFill),
             GreedyOrder(graph, /*min_fill=*/true));
   EXPECT_EQ(HeuristicOrder(graph, TdHeuristic::kMinFillTieBreak),
-            TieBrokenMinFillOrder(graph, nullptr));
-}
-
-// Asserts that the seeded best-of-K order equals the reference's.
-void ExpectMultiStartMatchesOracle(const Graph& graph, const std::string& label,
-                                   uint64_t seed) {
-  SCOPED_TRACE(label);
-  for (size_t starts : {1, 2, 5, 8}) {
-    MultiStartOptions options;
-    options.starts = starts;
-    options.seed = seed + starts;
-    EXPECT_EQ(MinFillMultiStartOrder(graph, options),
-              OracleMultiStartOrder(graph, options))
-        << "starts=" << starts;
-  }
+            TieBrokenMinFillOrder(graph));
 }
 
 TEST(HeuristicsOracleTest, StructuredFamiliesMatch) {
-  uint64_t seed = TestSeed();
   for (const auto& [label, graph] : StructuredGraphs()) {
     ExpectOrdersMatchOracle(graph, label);
-    ExpectMultiStartMatchesOracle(graph, label, seed);
   }
   EXPECT_TRUE(HeuristicOrder(Graph(0), TdHeuristic::kMinFill).empty());
 }
@@ -262,7 +203,6 @@ TEST(HeuristicsOracleTest, GnpGraphsMatch) {
       std::string label = "gnp n=" + std::to_string(n) +
                           " p=" + std::to_string(p);
       ExpectOrdersMatchOracle(g, label);
-      ExpectMultiStartMatchesOracle(g, label, rng.engine()());
     }
   }
 }
@@ -277,7 +217,6 @@ TEST(HeuristicsOracleTest, PartialKTreesMatch) {
                             std::to_string(n) + " keep=" + std::to_string(keep);
         ExpectOrdersMatchOracle(g, label);
         ExpectOrdersMatchOracle(Relabeled(g, &rng), label + " relabeled");
-        if (n <= 80) ExpectMultiStartMatchesOracle(g, label, rng.engine()());
       }
     }
   }
@@ -296,12 +235,7 @@ TEST(HeuristicsOracleTest, LargePartialKTreesMatch) {
   }
   Graph g = RandomPartialKTree(300, 5, 0.6, &rng);
   EXPECT_EQ(HeuristicOrder(g, TdHeuristic::kMinFillTieBreak),
-            TieBrokenMinFillOrder(g, nullptr));
-  MultiStartOptions options;
-  options.starts = 3;
-  options.seed = rng.engine()();
-  EXPECT_EQ(MinFillMultiStartOrder(g, options),
-            OracleMultiStartOrder(g, options));
+            TieBrokenMinFillOrder(g));
 }
 
 TEST(HeuristicsOracleTest, SchemaGaifmanGraphsMatch) {
@@ -311,13 +245,11 @@ TEST(HeuristicsOracleTest, SchemaGaifmanGraphsMatch) {
         RandomWindowSchema(attributes, 2 * attributes / 3, 5, &rng));
     std::string label = "window schema n=" + std::to_string(attributes);
     ExpectOrdersMatchOracle(g, label);
-    ExpectMultiStartMatchesOracle(g, label, rng.engine()());
   }
   for (int fds : {7, 40, 100}) {
     Graph g = SchemaGaifman(GenerateBalancedInstance(fds).schema);
     std::string label = "balanced schema fds=" + std::to_string(fds);
     ExpectOrdersMatchOracle(g, label);
-    ExpectMultiStartMatchesOracle(g, label, rng.engine()());
   }
 }
 

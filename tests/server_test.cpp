@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -271,6 +272,21 @@ TEST(ProtocolTest, ParsesReoptAndRejectsBadUnits) {
     auto bad = ParseRequest(line);
     EXPECT_FALSE(bad.ok()) << line;
   }
+
+  // REOPT and DEADLINE share one unit parser: every count up to UINT64_MAX
+  // parses, one more overflows.
+  auto reopt_max = ParseRequest("REOPT g 18446744073709551615");
+  ASSERT_TRUE(reopt_max.ok()) << reopt_max.status();
+  EXPECT_EQ(std::get<ReoptRequest>(reopt_max.value().value()).units,
+            UINT64_MAX);
+  auto deadline_max = ParseRequest("DEADLINE 18446744073709551615");
+  ASSERT_TRUE(deadline_max.ok()) << deadline_max.status();
+  EXPECT_EQ(std::get<DeadlineRequest>(deadline_max.value().value()).units,
+            UINT64_MAX);
+  EXPECT_EQ(ParseRequest("REOPT g 18446744073709551616").status().message(),
+            "REOPT: unit count overflows");
+  EXPECT_EQ(ParseRequest("DEADLINE 18446744073709551616").status().message(),
+            "DEADLINE: unit count overflows");
 }
 
 TEST(ServerTest, ReoptImprovesSessionAndPreservesAnswers) {
