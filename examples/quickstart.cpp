@@ -30,8 +30,9 @@ int main() {
             << "):\n"
             << RenderTree(**td, NamerFor(**structure)) << "\n";
 
-  // §5.2 decision, per attribute — every query after the first is a cache
-  // hit on the encoding and decomposition (watch RunStats).
+  // Per-attribute decision — every query after the first is a cache hit on
+  // the encoding, decomposition and §5.3 bottom-up tables, and walks one
+  // root-to-leaf solve↓ path (watch RunStats).
   std::cout << "PRIMALITY decision (Fig. 6 program, one engine session):\n";
   for (AttributeId a = 0; a < schema.NumAttributes(); ++a) {
     RunStats run;

@@ -2,6 +2,7 @@
 """Gate the bench trajectory: compare a fresh quick-bench JSON to a baseline.
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json [--threshold 0.10]
+           [--forbid-missing] [--rebaselined KEY[,KEY...]]
 
 Both files hold the merged quick-bench counters (see the quick-bench CI job:
 {"solve_all": {...}, "parallel_dp": {...}, "enumeration": {...}}). All
@@ -16,6 +17,12 @@ reported but by default never fail the gate, so the trajectory can grow.
 --forbid-missing tightens that for same-generation comparisons (committed
 BENCH_prN.json vs the BENCH_prN.json this run produced): there the key sets
 must match exactly, so a silently dropped or renamed counter fails too.
+
+--rebaselined names the counters an algorithm change moves on purpose (each
+explained where the change is recorded). Such a key may move past the
+threshold; every other key is gated as usual. A named key that does not move
+past the threshold, or is not in both files, fails the gate, so the list
+names exactly the counters that moved.
 """
 
 import argparse
@@ -73,7 +80,11 @@ def main():
                         help="max allowed relative change (default 0.10)")
     parser.add_argument("--forbid-missing", action="store_true",
                         help="fail on keys present in only one file")
+    parser.add_argument("--rebaselined", default="", metavar="KEY[,KEY...]",
+                        help="flattened keys (e.g. table1.dp_states) moved "
+                             "on purpose: they must move past the threshold")
     args = parser.parse_args()
+    rebaselined = {key for key in args.rebaselined.split(",") if key}
 
     baseline = load_counters(args.baseline, "baseline")
     current = load_counters(args.current, "current")
@@ -99,11 +110,21 @@ def main():
         else:
             change = abs(new - old) / abs(old)
         marker = ""
-        if change > args.threshold:
+        if key in rebaselined:
+            if change > args.threshold:
+                marker = "  (re-baselined)"
+            else:
+                failures.append(key)
+                marker = "  << FAIL (listed as re-baselined, did not move)"
+        elif change > args.threshold:
             failures.append(key)
             marker = "  << FAIL"
         shown = "inf" if change == float("inf") else f"{change:+8.1%}"
         print(f"{key:<48} {old:>14} {new:>14} {shown:>9}{marker}")
+
+    for key in sorted(rebaselined - (baseline.keys() & current.keys())):
+        failures.append(key)
+        print(f"{key:<48} {'(re-baselined, not in both files)':>39}  << FAIL")
 
     if failures:
         print(f"\nFAIL: {len(failures)} counter(s) moved more than "
@@ -113,6 +134,8 @@ def main():
         return 1
     print(f"\nOK: all shared counters within {args.threshold:.0%} of "
           f"{args.baseline}")
+    if rebaselined:
+        print(f"    except the re-baselined {', '.join(sorted(rebaselined))}")
     return 0
 
 

@@ -53,10 +53,9 @@ struct PrimalityProblem {
   Value Merge(const Value& a, const Value&) const { return a; }
 };
 
-}  // namespace
-
-namespace internal {
-
+/// Fig. 6 bottom-up DP over the prepared decomposition — validated,
+/// rhs-closed, re-rooted at a bag containing `a_elem`, normalized with
+/// PrimalityNormalizeOptions(·, false) — and the success test at the root.
 bool DecidePrimePrepared(const PrimalityContext& context,
                          const NormalizedTreeDecomposition& ntd,
                          ElementId a_elem, RunStats* stats) {
@@ -77,7 +76,7 @@ bool DecidePrimePrepared(const PrimalityContext& context,
   return false;
 }
 
-}  // namespace internal
+}  // namespace
 
 StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding,
                             const TreeDecomposition& td, AttributeId a,
@@ -102,8 +101,7 @@ StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding
   TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
   if (stats != nullptr) ++stats->normalize_builds;
 
-  return internal::DecidePrimePrepared(context, *state.normalized, a_elem,
-                                       stats);
+  return DecidePrimePrepared(context, *state.normalized, a_elem, stats);
 }
 
 }  // namespace treedl::core

@@ -18,15 +18,14 @@ namespace treedl::core {
 namespace {
 
 using internal::PrimalityContext;
+using internal::PrimeUpTables;
 using internal::PrimJoinKey;
 using internal::PrimState;
 using internal::TableMemoryTracker;
 
-// Deduplicating state set over the flat-table arena: Release()/MemoryBytes()
-// back the same eviction protocol as the graph DPs, and insertion-order
-// iteration is deterministic — though the enumeration's outputs (prime bits,
-// set sizes) are order-independent anyway.
-using StateSet = FlatTable<PrimState, std::monostate>;
+// Insertion-order iteration is deterministic — though the enumeration's
+// outputs (prime bits, set sizes) are order-independent anyway.
+using StateSet = internal::PrimStateSet;
 
 void Insert(StateSet* set, PrimState s) {
   set->Emplace(std::move(s), std::monostate{},
@@ -114,27 +113,26 @@ void BottomUpStep(const PrimalityContext& context,
 /// table from my parent's" — so a parents-first chunk of nodes is a valid
 /// schedule for both the sequential walk and the inverted shard schedule.
 /// Transitions invert the parent's kind; at a branch the sibling's bottom-up
-/// table joins in.
+/// table joins in. `parent_down` is the parent's solve↓ table (null at the
+/// root); the result lands in `states`.
 void TopDownStep(const PrimalityContext& context,
                  const NormalizedTreeDecomposition& ntd, TdNodeId x,
-                 const std::vector<StateSet>& up, std::vector<StateSet>* down) {
-  StateSet& states = (*down)[static_cast<size_t>(x)];
-  auto emit = [&](PrimState s) { Insert(&states, std::move(s)); };
+                 const std::vector<StateSet>& up, const StateSet* parent_down,
+                 StateSet* states) {
+  auto emit = [&](PrimState s) { Insert(states, std::move(s)); };
   if (x == ntd.root()) {
     // Base: the envelope of the root is the root node alone — the leaf rule
     // applied to the root's bag.
     context.LeafStates(ntd.Bag(x), emit);
     return;
   }
-  TdNodeId parent_id = ntd.node(x).parent;
-  const NormNode& parent = ntd.node(parent_id);
-  const StateSet& parent_down = (*down)[static_cast<size_t>(parent_id)];
+  const NormNode& parent = ntd.node(ntd.node(x).parent);
   switch (parent.kind) {
     case NormNodeKind::kLeaf:
       TREEDL_CHECK(false) << "leaf with children";
       break;
     case NormNodeKind::kCopy:
-      for (const auto& [s, value] : parent_down) {
+      for (const auto& [s, value] : *parent_down) {
         (void)value;
         emit(s);
       }
@@ -142,7 +140,7 @@ void TopDownStep(const PrimalityContext& context,
     case NormNodeKind::kIntroduce:
       // Parent introduced e going up; going down the envelope forgets it —
       // e's occurrences all lie inside the envelope of the child.
-      for (const auto& [s, value] : parent_down) {
+      for (const auto& [s, value] : *parent_down) {
         (void)value;
         if (context.IsAttr(parent.element)) {
           context.ForgetAttr(ntd.Bag(x), parent.element, s, emit);
@@ -155,7 +153,7 @@ void TopDownStep(const PrimalityContext& context,
       // Parent forgot e going up; going down the envelope introduces it
       // fresh (e occurs only below the child, so only at the child from the
       // envelope's perspective).
-      for (const auto& [s, value] : parent_down) {
+      for (const auto& [s, value] : *parent_down) {
         (void)value;
         if (context.IsAttr(parent.element)) {
           context.IntroduceAttr(ntd.Bag(x), parent.element, s, emit);
@@ -168,7 +166,7 @@ void TopDownStep(const PrimalityContext& context,
       // T̄_child = T̄_parent ∪ T_sibling: join the parent's envelope states
       // with the sibling's subtree states.
       TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
-      JoinInto(context, parent_down, up[static_cast<size_t>(sibling)], emit);
+      JoinInto(context, *parent_down, up[static_cast<size_t>(sibling)], emit);
       break;
     }
   }
@@ -213,19 +211,25 @@ void BottomUpChunk(const PrimalityContext& context,
 /// Top-down pass over one parents-first chunk. Eviction: after node x is
 /// processed, (a) up[sibling(x)] has seen its last read (x's branch join) —
 /// siblings release each other's tables, possibly from concurrent shards,
-/// each table by its unique reader; (b) once every child of x's parent is
-/// processed (cross-shard atomic countdown), down[parent] is dead — leaves
-/// have no children, so the leaf tables the prime read-off needs survive.
+/// each table by its unique reader (only when `evict_up`: the bottom-up
+/// tables may be shared); (b) once every child of x's parent is processed
+/// (cross-shard atomic countdown), down[parent] is dead — leaves have no
+/// children, so the leaf tables the prime read-off needs survive.
 void TopDownChunk(const PrimalityContext& context,
                   const NormalizedTreeDecomposition& ntd,
                   const std::vector<TdNodeId>& nodes,
                   std::vector<StateSet>* up, std::vector<StateSet>* down,
-                  TableMemoryTracker* memory, bool evict, WorkBudget* budget,
+                  TableMemoryTracker* memory, bool evict, bool evict_up,
+                  WorkBudget* budget,
                   std::vector<std::atomic<size_t>>* down_pending,
                   DpStats* stats) {
   for (TdNodeId x : nodes) {
     if (budget != nullptr && !budget->ConsumeUnit()) continue;
-    TopDownStep(context, ntd, x, *up, down);
+    TdNodeId parent_id = ntd.node(x).parent;
+    TopDownStep(context, ntd, x, *up,
+                x == ntd.root() ? nullptr
+                                : &(*down)[static_cast<size_t>(parent_id)],
+                &(*down)[static_cast<size_t>(x)]);
     CountStates((*down)[static_cast<size_t>(x)], stats);
     memory->Add((*down)[static_cast<size_t>(x)].MemoryBytes());
     if (budget != nullptr) {
@@ -234,12 +238,11 @@ void TopDownChunk(const PrimalityContext& context,
     if (!evict) continue;
     if (x == ntd.root()) {
       // Nothing reads the root's bottom-up table after its pass completed.
-      ReleaseSet(&(*up)[static_cast<size_t>(x)], memory);
+      if (evict_up) ReleaseSet(&(*up)[static_cast<size_t>(x)], memory);
       continue;
     }
-    TdNodeId parent_id = ntd.node(x).parent;
     const NormNode& parent = ntd.node(parent_id);
-    if (parent.kind == NormNodeKind::kBranch) {
+    if (evict_up && parent.kind == NormNodeKind::kBranch) {
       TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
       ReleaseSet(&(*up)[static_cast<size_t>(sibling)], memory);
     }
@@ -250,39 +253,144 @@ void TopDownChunk(const PrimalityContext& context,
   }
 }
 
+/// Folds one walk's DpStats into the caller's RunStats.
+void MergeWalk(const DpStats& dp, RunStats* stats) {
+  if (stats == nullptr) return;
+  stats->dp_states += dp.total_states;
+  stats->dp_max_states_per_node =
+      std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
+  stats->primality_shards += dp.shards;
+  stats->dp_shard_millis.insert(stats->dp_shard_millis.end(),
+                                dp.shard_millis.begin(), dp.shard_millis.end());
+  ++stats->dp_traversals;
+  ++stats->dp_passes;
+  stats->dp_peak_table_bytes =
+      std::max(stats->dp_peak_table_bytes, dp.peak_table_bytes);
+  stats->dp_tables_evicted += dp.tables_evicted;
+}
+
+/// Per attribute, the shallowest leaf whose bag holds it (first in pre order
+/// among equally shallow ones).
+std::vector<TdNodeId> ShallowestLeaves(const PrimalityContext& context,
+                                       const SchemaEncoding& encoding,
+                                       const NormalizedTreeDecomposition& ntd) {
+  std::vector<size_t> depth(ntd.NumNodes(), 0);
+  std::vector<TdNodeId> leaf_of(static_cast<size_t>(encoding.num_attributes),
+                                kNoTdNode);
+  for (TdNodeId id : ntd.PreOrder()) {
+    const NormNode& node = ntd.node(id);
+    if (id != ntd.root()) {
+      depth[static_cast<size_t>(id)] =
+          depth[static_cast<size_t>(node.parent)] + 1;
+    }
+    if (node.kind != NormNodeKind::kLeaf) continue;
+    for (ElementId e : node.bag) {
+      if (!context.IsAttr(e)) continue;
+      TdNodeId& leaf = leaf_of[static_cast<size_t>(encoding.AttrOf(e))];
+      if (leaf == kNoTdNode ||
+          depth[static_cast<size_t>(id)] < depth[static_cast<size_t>(leaf)]) {
+        leaf = id;
+      }
+    }
+  }
+  return leaf_of;
+}
+
 }  // namespace
 
 namespace internal {
 
-std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
-                                          const SchemaEncoding& encoding,
-                                          int num_attributes,
-                                          const NormalizedTreeDecomposition& ntd,
-                                          RunStats* stats, const DpExec& exec) {
+std::unique_ptr<PrimeUpTables> BuildPrimeUpTables(
+    const PrimalityContext& context, const SchemaEncoding& encoding,
+    const NormalizedTreeDecomposition& ntd, const DpExec& exec,
+    RunStats* stats) {
+  auto tables = std::make_unique<PrimeUpTables>();
+  tables->up.resize(ntd.NumNodes());
   DpStats dp;
-  size_t num_nodes = ntd.NumNodes();
-  std::vector<StateSet> up(num_nodes);
-  std::vector<StateSet> down(num_nodes);
   TableMemoryTracker memory;
   const bool evict = exec.table_memory_budget > 0;
-  const bool parallel = exec.Parallel();
-
-  // Pass 1: bottom-up solve() tables, child shards before their parent.
-  if (parallel) {
+  // Child shards before their parent.
+  if (exec.Parallel()) {
     RunShardedWalk(
         exec,
         [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-          BottomUpChunk(context, ntd, nodes, &up, &memory, evict, exec.budget,
-                        local);
+          BottomUpChunk(context, ntd, nodes, &tables->up, &memory, evict,
+                        exec.budget, local);
         },
         &dp, WalkDirection::kBottomUp);
   } else {
-    std::vector<TdNodeId> post = ntd.PostOrder();
-    BottomUpChunk(context, ntd, post, &up, &memory, evict, exec.budget, &dp);
+    BottomUpChunk(context, ntd, ntd.PostOrder(), &tables->up, &memory, evict,
+                  exec.budget, &dp);
   }
+  memory.FoldInto(&dp);
+  MergeWalk(dp, stats);
+  if (exec.budget != nullptr && exec.budget->Aborted()) return nullptr;
+  tables->leaf_of = ShallowestLeaves(context, encoding, ntd);
+  tables->live_bytes = memory.current.load(std::memory_order_relaxed);
+  return tables;
+}
 
-  // Pass 2: top-down solve↓() tables on the inverted schedule — the root
-  // shard first, each shard's nodes in reverse post order.
+StatusOr<bool> DecidePrimeOnPath(const PrimalityContext& context,
+                                 const SchemaEncoding& encoding,
+                                 const NormalizedTreeDecomposition& ntd,
+                                 const PrimeUpTables& tables, AttributeId a,
+                                 RunStats* stats) {
+  TdNodeId leaf = tables.leaf_of[static_cast<size_t>(a)];
+  if (leaf == kNoTdNode) {
+    return Status::InvalidArgument(
+        "query element not covered by the decomposition");
+  }
+  std::vector<TdNodeId> path;  // leaf → root
+  for (TdNodeId x = leaf;; x = ntd.node(x).parent) {
+    path.push_back(x);
+    if (x == ntd.root()) break;
+  }
+  // solve↓ root → leaf, keeping only the parent's table alive.
+  DpStats dp;
+  StateSet parent_down;
+  StateSet states;
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    states = StateSet();
+    TopDownStep(context, ntd, *it, tables.up,
+                *it == ntd.root() ? nullptr : &parent_down, &states);
+    CountStates(states, &dp);
+    std::swap(parent_down, states);
+  }
+  if (stats != nullptr) {
+    stats->dp_states += dp.total_states;
+    stats->dp_max_states_per_node =
+        std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
+  }
+  const auto& bag = ntd.Bag(leaf);
+  ElementId a_elem = encoding.AttrElement(a);
+  for (const auto& [s, value] : parent_down) {
+    (void)value;
+    if (context.Accepts(bag, s, a_elem)) return true;
+  }
+  return false;
+}
+
+std::vector<bool> EnumeratePrimesTopDown(const PrimalityContext& context,
+                                         const SchemaEncoding& encoding,
+                                         const NormalizedTreeDecomposition& ntd,
+                                         PrimeUpTables* tables,
+                                         bool release_up_tables,
+                                         RunStats* stats,
+                                         const DpExec& exec) {
+  DpStats dp;
+  size_t num_nodes = ntd.NumNodes();
+  std::vector<StateSet>& up = tables->up;
+  std::vector<StateSet> down(num_nodes);
+  // Live bytes carry over from the bottom-up pass, so the peak covers the
+  // tables both passes hold at once.
+  TableMemoryTracker memory;
+  memory.current.store(tables->live_bytes, std::memory_order_relaxed);
+  memory.peak.store(tables->live_bytes, std::memory_order_relaxed);
+  const bool evict = exec.table_memory_budget > 0;
+  const bool evict_up = evict && release_up_tables;
+
+  // The inverted schedule: the root shard first, each shard's nodes in
+  // reverse post order.
   std::vector<std::atomic<size_t>> down_pending(num_nodes);
   if (evict) {
     for (size_t id = 0; id < num_nodes; ++id) {
@@ -290,36 +398,22 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
                              std::memory_order_relaxed);
     }
   }
-  if (parallel) {
+  if (exec.Parallel()) {
     RunShardedWalk(
         exec,
         [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
           TopDownChunk(context, ntd, nodes, &up, &down, &memory, evict,
-                       exec.budget, &down_pending, local);
+                       evict_up, exec.budget, &down_pending, local);
         },
         &dp, WalkDirection::kTopDown);
   } else {
     std::vector<TdNodeId> post = ntd.PostOrder();
     std::vector<TdNodeId> pre(post.rbegin(), post.rend());
-    TopDownChunk(context, ntd, pre, &up, &down, &memory, evict, exec.budget,
-                 &down_pending, &dp);
+    TopDownChunk(context, ntd, pre, &up, &down, &memory, evict, evict_up,
+                 exec.budget, &down_pending, &dp);
   }
-
   memory.FoldInto(&dp);
-  if (stats != nullptr) {
-    stats->dp_states += dp.total_states;
-    stats->dp_max_states_per_node =
-        std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
-    stats->primality_shards += dp.shards;
-    stats->dp_shard_millis.insert(stats->dp_shard_millis.end(),
-                                  dp.shard_millis.begin(),
-                                  dp.shard_millis.end());
-    stats->dp_traversals += 2;
-    stats->dp_passes += 2;
-    stats->dp_peak_table_bytes =
-        std::max(stats->dp_peak_table_bytes, dp.peak_table_bytes);
-    stats->dp_tables_evicted += dp.tables_evicted;
-  }
+  MergeWalk(dp, stats);
 
   // prime(a) is read off at the leaves (every attribute occurs in some leaf
   // bag by the ensure_leaf_coverage normalization option). Note that solve↓
@@ -329,7 +423,7 @@ std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
   // above released every *interior* down table (leaves have no children, so
   // the countdown never fires for them) — the leaves are exactly the tables
   // guaranteed to survive the walk.
-  std::vector<bool> primes(static_cast<size_t>(num_attributes), false);
+  std::vector<bool> primes(static_cast<size_t>(encoding.num_attributes), false);
   for (TdNodeId id : ntd.PreOrder()) {
     if (ntd.node(id).kind != NormNodeKind::kLeaf) continue;
     const auto& bag = ntd.Bag(id);
@@ -369,8 +463,12 @@ StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
   TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
   if (stats != nullptr) ++stats->normalize_builds;
 
-  return internal::EnumeratePrimesPrepared(
-      context, encoding, schema.NumAttributes(), *state.normalized, stats);
+  std::unique_ptr<internal::PrimeUpTables> tables =
+      internal::BuildPrimeUpTables(context, encoding, *state.normalized, {},
+                                   stats);
+  return internal::EnumeratePrimesTopDown(context, encoding, *state.normalized,
+                                          tables.get(),
+                                          /*release_up_tables=*/true, stats);
 }
 
 StatusOr<std::vector<bool>> EnumeratePrimesQuadratic(

@@ -18,8 +18,11 @@
 #define TREEDL_CORE_PRIMALITY_INTERNAL_HPP_
 
 #include <functional>
+#include <memory>
+#include <variant>
 #include <vector>
 
+#include "common/flat_table.hpp"
 #include "common/hash.hpp"
 #include "common/status.hpp"
 #include "core/tree_dp.hpp"
@@ -137,26 +140,63 @@ TreeDecomposition CloseBagsForRhs(const TreeDecomposition& td,
 NormalizeOptions PrimalityNormalizeOptions(const SchemaEncoding& encoding,
                                            bool for_enumeration);
 
-/// Fig. 6 bottom-up DP over a *prepared* decomposition — already validated,
-/// rhs-closed, re-rooted at a bag containing `a_elem`, and normalized with
-/// PrimalityNormalizeOptions(·, false). Used by IsPrimeViaTd after its pass
-/// pipeline, and by the Engine with its cached artifacts.
-bool DecidePrimePrepared(const PrimalityContext& context,
-                         const NormalizedTreeDecomposition& ntd,
-                         ElementId a_elem, RunStats* stats);
+/// Deduplicating state set of the §5.3 passes, over the flat-table arena:
+/// Release()/MemoryBytes() back the same eviction protocol as the graph DPs.
+using PrimStateSet = FlatTable<PrimState, std::monostate>;
 
-/// §5.3 two-pass enumeration over a prepared decomposition — validated,
-/// rhs-closed, normalized with PrimalityNormalizeOptions(·, true). When
-/// `exec` carries a sharding and pool, both passes run shard-parallel on it
-/// (bottom-up solve, then the inverted top-down solve↓ schedule); with
-/// exec.table_memory_budget > 0 dead state tables are evicted as the passes
-/// consume them. Results are bit-identical at any thread count.
-std::vector<bool> EnumeratePrimesPrepared(const PrimalityContext& context,
-                                          const SchemaEncoding& encoding,
-                                          int num_attributes,
-                                          const NormalizedTreeDecomposition& ntd,
-                                          RunStats* stats,
-                                          const DpExec& exec = {});
+/// The bottom-up half of the §5.3 enumeration over a prepared decomposition
+/// (validated, rhs-closed, normalized with PrimalityNormalizeOptions(·, true)):
+/// one solve() table per normal-form node, plus the leaf each attribute's
+/// decision reads. Built once, then read by any number of concurrent
+/// DecidePrimeOnPath / EnumeratePrimesTopDown calls; only a top-down pass
+/// over tables no one else can see may release them.
+struct PrimeUpTables {
+  /// solve() table per node id. With a table memory budget the build releases
+  /// a table once its non-branch parent consumed it; what survives is what
+  /// solve↓ reads — the branch children, for the sibling joins.
+  std::vector<PrimStateSet> up;
+  /// Per AttributeId: the shallowest leaf whose bag holds the attribute
+  /// (kNoTdNode if none does).
+  std::vector<TdNodeId> leaf_of;
+  /// Arena bytes of `up` when the build finished: the live-byte level the
+  /// top-down pass's memory accounting starts from.
+  size_t live_bytes = 0;
+};
+
+/// Pass 1 of §5.3: solve() bottom-up over `ntd`, shard-parallel when `exec`
+/// carries a sharding and pool, evicting dead tables when
+/// exec.table_memory_budget > 0. Returns null when exec.budget aborted the
+/// pass (the tables would be partial).
+std::unique_ptr<PrimeUpTables> BuildPrimeUpTables(
+    const PrimalityContext& context, const SchemaEncoding& encoding,
+    const NormalizedTreeDecomposition& ntd, const DpExec& exec,
+    RunStats* stats);
+
+/// Is `a` prime, read off the §5.3 tables: solve↓ runs only along the path
+/// from the root to tables.leaf_of[a] (at each branch the sibling's solve()
+/// table joins in), and the success test is applied at that leaf. Adds the
+/// path's states to stats->dp_states / dp_max_states_per_node.
+StatusOr<bool> DecidePrimeOnPath(const PrimalityContext& context,
+                                 const SchemaEncoding& encoding,
+                                 const NormalizedTreeDecomposition& ntd,
+                                 const PrimeUpTables& tables, AttributeId a,
+                                 RunStats* stats);
+
+/// Pass 2 of §5.3: solve↓ over the whole of `ntd` (the inverted shard
+/// schedule when exec.Parallel()), reading prime(a) off at the leaves. With
+/// exec.table_memory_budget > 0 dead solve↓ tables are evicted as the pass
+/// consumes them, and so are the bottom-up tables of `tables` when
+/// `release_up_tables` — only for tables the caller built for this pass and
+/// never shared. Results are bit-identical at any thread count; on an
+/// aborted exec.budget they are partial and the caller must surface
+/// budget->AbortStatus() instead.
+std::vector<bool> EnumeratePrimesTopDown(const PrimalityContext& context,
+                                         const SchemaEncoding& encoding,
+                                         const NormalizedTreeDecomposition& ntd,
+                                         PrimeUpTables* tables,
+                                         bool release_up_tables,
+                                         RunStats* stats,
+                                         const DpExec& exec = {});
 
 }  // namespace treedl::core::internal
 

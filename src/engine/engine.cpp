@@ -356,6 +356,15 @@ ThreadPool* Engine::EnsurePool() {
 
 // --- Primality ---------------------------------------------------------------
 
+core::DpExec Engine::PrimalityExec(WorkBudget* budget) {
+  core::DpExec exec;
+  exec.pool = EnsurePool();
+  exec.sharding = enum_sharding_.has_value() ? &*enum_sharding_ : nullptr;
+  exec.table_memory_budget = options_.table_memory_budget;
+  exec.budget = budget;
+  return exec;
+}
+
 StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
   RunStats local;
   RunStats* s = stats != nullptr ? (*stats = RunStats{}, stats) : &local;
@@ -367,9 +376,11 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
     if (a < 0 || a >= schema_->NumAttributes()) {
       return Status::InvalidArgument("attribute id out of range");
     }
-    const TreeDecomposition* closed = nullptr;
+    const NormalizedTreeDecomposition* ntd = nullptr;
     const core::internal::PrimalityContext* context = nullptr;
     const SchemaEncoding* encoding = nullptr;
+    std::shared_ptr<core::internal::PrimeUpTables> up;
+    core::DpExec exec;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       // O(1) from the memoized §5.3 enumeration, if it already ran.
@@ -377,24 +388,27 @@ StatusOr<bool> Engine::IsPrime(AttributeId a, RunStats* stats) {
         ++s->cache_hits;
         return static_cast<bool>((*primes_)[static_cast<size_t>(a)]);
       }
-      TREEDL_ASSIGN_OR_RETURN(closed, EnsureClosedTd(s));
+      TREEDL_ASSIGN_OR_RETURN(ntd, EnsureEnumNtd(s));
       TREEDL_ASSIGN_OR_RETURN(context, EnsurePrimality(s));
       encoding = encoding_.get();
+      up = prime_up_;
+      if (up != nullptr) {
+        ++s->cache_hits;
+      } else {
+        exec = PrimalityExec(options_.work_budget);
+      }
     }
-    // Per-query work on the immutable artifacts, outside the lock.
-    ElementId a_elem = encoding->AttrElement(a);
-    engine::PipelineState state;
-    state.td = *closed;
-    state.normalize_options = core::internal::PrimalityNormalizeOptions(
-        *encoding, /*for_enumeration=*/false);
-    engine::PassPipeline pipeline;
-    pipeline.Emplace<engine::ReRootAtElementPass>(a_elem)
-        .Emplace<engine::NormalizePass>();
-    TREEDL_RETURN_IF_ERROR(
-        pipeline.Run(state, options_.collect_pass_timings ? s : nullptr));
-    ++s->normalize_builds;
-    return core::internal::DecidePrimePrepared(*context, *state.normalized,
-                                               a_elem, s);
+    if (up == nullptr) {
+      // The bottom-up pass runs outside the lock; concurrent first callers
+      // may duplicate it, but only the first complete build is published.
+      up = core::internal::BuildPrimeUpTables(*context, *encoding, *ntd, exec,
+                                              s);
+      if (up == nullptr) return exec.budget->AbortStatus();
+      std::lock_guard<std::mutex> lock(sync_->cache_mu);
+      if (prime_up_ == nullptr && !primes_.has_value()) prime_up_ = up;
+    }
+    return core::internal::DecidePrimeOnPath(*context, *encoding, *ntd, *up,
+                                             a, s);
   }();
   s->total_millis = timer.ElapsedMillis();
   Record(*s);
@@ -413,6 +427,7 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
     const NormalizedTreeDecomposition* ntd = nullptr;
     const core::internal::PrimalityContext* context = nullptr;
     const SchemaEncoding* encoding = nullptr;
+    std::shared_ptr<core::internal::PrimeUpTables> up;
     core::DpExec exec;
     {
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
@@ -423,16 +438,25 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
       TREEDL_ASSIGN_OR_RETURN(ntd, EnsureEnumNtd(s));
       TREEDL_ASSIGN_OR_RETURN(context, EnsurePrimality(s));
       encoding = encoding_.get();
-      exec.pool = EnsurePool();
-      exec.sharding = enum_sharding_.has_value() ? &*enum_sharding_ : nullptr;
-      exec.table_memory_budget = options_.table_memory_budget;
-      exec.budget = budget != nullptr ? budget : options_.work_budget;
+      exec = PrimalityExec(budget != nullptr ? budget : options_.work_budget);
+      up = prime_up_;
+      if (up != nullptr) ++s->cache_hits;
     }
-    // The two-pass enumeration runs outside the lock (sharded on the pool
-    // when the session is parallel); concurrent first callers may duplicate
-    // the work, but the memo is written once.
-    std::vector<bool> primes = core::internal::EnumeratePrimesPrepared(
-        *context, *encoding, schema_->NumAttributes(), *ntd, s, exec);
+    // The tables IsPrime published are shared with concurrent path walks,
+    // so the top-down pass only reads them; a private bottom-up pass (not
+    // published: the memo about to be written supersedes it) is ours to
+    // release under a table memory budget.
+    const bool own_tables = up == nullptr;
+    if (own_tables) {
+      up = core::internal::BuildPrimeUpTables(*context, *encoding, *ntd, exec,
+                                              s);
+      if (up == nullptr) return exec.budget->AbortStatus();
+    }
+    // The top-down pass runs outside the lock (sharded on the pool when the
+    // session is parallel); concurrent first callers may duplicate the
+    // work, but the memo is written once.
+    std::vector<bool> primes = core::internal::EnumeratePrimesTopDown(
+        *context, *encoding, *ntd, up.get(), own_tables, s, exec);
     // An aborted run produced a partial bit vector — never memoize it, so
     // the next AllPrimes call recomputes from the cached decomposition.
     if (exec.budget != nullptr && exec.budget->Aborted()) {
@@ -440,6 +464,7 @@ StatusOr<std::vector<bool>> Engine::AllPrimes(RunStats* stats,
     }
     std::lock_guard<std::mutex> lock(sync_->cache_mu);
     if (!primes_.has_value()) primes_ = std::move(primes);
+    prime_up_.reset();
     return *primes_;
   }();
   s->total_millis = timer.ElapsedMillis();
@@ -727,6 +752,7 @@ StatusOr<Engine::ImproveResult> Engine::ImproveDecomposition(
     closed_td_.reset();
     plain_ntd_.reset();
     enum_ntd_.reset();
+    prime_up_.reset();
     sharding_.reset();
     enum_sharding_.reset();
     tau_td_.reset();
@@ -955,6 +981,7 @@ Status Engine::LoadSession(const std::string& path, RunStats* stats) {
     if (artifacts.primes.has_value() && !primes_.has_value() &&
         schema_ != nullptr) {
       primes_ = *std::move(artifacts.primes);
+      prime_up_.reset();
       ++s->artifact_loads;
     }
     return Status::OK();

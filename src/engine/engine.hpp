@@ -9,7 +9,7 @@
 // serves batched queries through one surface:
 //
 //   Engine engine(Schema::PaperExampleSchema());
-//   engine.IsPrime(a);                       // §5.2 decision
+//   engine.IsPrime(a);                       // one solve↓ path (§5.3 tables)
 //   engine.AllPrimes();                      // §5.3 enumeration (memoized)
 //   engine.EvaluateMso(sentence);            // Thm 4.5 route or direct
 //   engine.EvaluateDatalog(program);         // naive/seminaive/grounded
@@ -27,11 +27,11 @@
 // parallel on one shared work-stealing pool: the Solve/SolveAll tree DP runs
 // bag-sharded (core::RunTreeDp — Solve registers one pass on a
 // core::MultiDp, SolveAll five, and both run the same single walk), the
-// AllPrimes enumeration runs both of its passes shard-scheduled on the same
-// pool (bottom-up, then the inverted top-down schedule), and the semi-naive
-// datalog fixpoint evaluates each round's rules (and wide delta batches) as
-// pool tasks with a deterministic merge — every answer is bit-identical to
-// num_threads = 1.
+// §5.3 bottom-up pass behind IsPrime/AllPrimes and AllPrimes' top-down pass
+// run shard-scheduled on the same pool (the top-down one on the inverted
+// schedule), and the semi-naive datalog fixpoint evaluates each round's rules
+// (and wide delta batches) as pool tasks with a deterministic merge — every
+// answer is bit-identical to num_threads = 1.
 // Pointers returned by the artifact accessors stay valid for the Engine's
 // lifetime; moving an Engine while another thread uses it is undefined.
 //
@@ -123,14 +123,27 @@ class Engine {
 
   // --- Primality (schema sessions only) -----------------------------------
 
-  /// §5.2 decision: is attribute `a` prime? Reuses the cached encoding and
-  /// decomposition; re-roots and normalizes per query (linear). After
-  /// AllPrimes() has run, answers O(1) from the memoized enumeration.
+  /// Is attribute `a` prime? The first call builds the session's §5.3
+  /// bottom-up solve() tables over the cached enumeration normal form (one
+  /// linear pass, shard-parallel on the session pool, budgeted by
+  /// EngineOptions::work_budget — an aborted build returns the abort status
+  /// and is not cached). Every call then runs solve↓ only along the path
+  /// from the root to the shallowest leaf holding `a`, joining the cached
+  /// sibling tables at branches, and applies the success test at that leaf:
+  /// later calls cost one root-to-leaf path, not a DP. The tables that
+  /// survive the build (the branch children and the root, under a table
+  /// memory budget; all of them without one) stay resident in the session
+  /// until AllPrimes() memoizes its answer — outside the table memory budget
+  /// and ResidentArtifactBytes. After AllPrimes() has run, answers O(1) from
+  /// the memoized enumeration. core::IsPrimeViaTd is the independent §5.2
+  /// route.
   StatusOr<bool> IsPrime(AttributeId a, RunStats* stats = nullptr);
 
-  /// §5.3 enumeration: all prime attributes in one two-pass run. The result
-  /// is memoized; subsequent calls are cache hits. A tripped `budget`
-  /// (per-call, overriding EngineOptions::work_budget) aborts the run with
+  /// §5.3 enumeration: all prime attributes in one two-pass run — the
+  /// bottom-up tables IsPrime built (or a fresh bottom-up pass), then one
+  /// full top-down pass. The result is memoized; subsequent calls are cache
+  /// hits. A tripped `budget` (per-call, overriding
+  /// EngineOptions::work_budget) aborts the run with
   /// DeadlineExceeded/ResourceExhausted and leaves the memo unwritten, so
   /// the next call recomputes cleanly.
   StatusOr<std::vector<bool>> AllPrimes(RunStats* stats = nullptr,
@@ -303,6 +316,9 @@ class Engine {
   StatusOr<const NormalizedTreeDecomposition*> EnsureEnumNtd(RunStats* stats);
   StatusOr<const NormalizedTreeDecomposition*> EnsurePlainNtd(RunStats* stats);
   StatusOr<const datalog::TauTdEncoding*> EnsureTauTd(RunStats* stats);
+  /// Execution context of the §5.3 passes over enum_ntd_: the session pool,
+  /// enum_sharding_, the table memory budget and `budget`.
+  core::DpExec PrimalityExec(WorkBudget* budget);
   /// Compiled Thm 4.5 program for `phi` (sentence form when free_var is
   /// null), from the per-formula cache or freshly constructed.
   StatusOr<const mso2dl::Mso2DlResult*> EnsureMsoProgram(
@@ -341,6 +357,12 @@ class Engine {
   std::optional<TreeDecomposition> td_;
   std::optional<TreeDecomposition> closed_td_;
   std::optional<NormalizedTreeDecomposition> enum_ntd_;
+  /// §5.3 bottom-up solve() tables over enum_ntd_, shared by IsPrime's path
+  /// walks and AllPrimes' top-down pass; read-only once published. Never
+  /// holds an aborted build, and is dropped once primes_ is memoized. Until
+  /// then it is a session-resident artifact outside both
+  /// EngineOptions::table_memory_budget and ResidentArtifactBytes.
+  std::shared_ptr<core::internal::PrimeUpTables> prime_up_;
   std::optional<NormalizedTreeDecomposition> plain_ntd_;
   std::optional<BagSharding> sharding_;
   /// Sharding of enum_ntd_ for the parallel §5.3 enumeration (parallel

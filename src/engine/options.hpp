@@ -59,8 +59,8 @@ struct EngineOptions {
   /// Record per-pass wall-clock timings into RunStats::passes.
   bool collect_pass_timings = false;
   /// Worker threads for the session's shared work-stealing pool: the
-  /// bag-sharded tree DP behind Solve/SolveAll, the two sharded passes of
-  /// the AllPrimes enumeration, and the rule-level parallel semi-naive
+  /// bag-sharded tree DP behind Solve/SolveAll, the two sharded §5.3 passes
+  /// behind IsPrime/AllPrimes, and the rule-level parallel semi-naive
   /// datalog fixpoint. 0 = hardware concurrency (the default); 1 = the
   /// sequential behavior (no thread pool, no sharding pass). Answers are
   /// bit-identical at every setting.
@@ -79,7 +79,10 @@ struct EngineOptions {
   /// of the whole decomposition (RunStats::dp_peak_table_bytes /
   /// dp_tables_evicted report the effect). Answers are unaffected; passes
   /// that must re-read interior tables (witness extraction) are exempted
-  /// automatically.
+  /// automatically. The §5.3 bottom-up tables IsPrime builds are a
+  /// session-resident artifact outside this bound: what survives their build
+  /// (branch children and root) outlives the query, until AllPrimes
+  /// memoizes its answer.
   size_t table_memory_budget = 0;
   /// Non-owning cooperative cancellation/deadline budget applied to every
   /// query this session runs (per-call budget arguments override it). The

@@ -54,7 +54,8 @@ class RhsClosurePass final : public Pass {
 };
 
 /// Re-roots the working decomposition at a bag containing `element` (the §5.2
-/// decision algorithm reads off success at such a root).
+/// decision algorithm reads off success at such a root). Only the §5.2 route
+/// core::IsPrimeViaTd runs it; Engine::IsPrime reads the §5.3 tables instead.
 class ReRootAtElementPass final : public Pass {
  public:
   explicit ReRootAtElementPass(ElementId element) : element_(element) {}

@@ -11,6 +11,7 @@
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
 #include "mso/parser.hpp"
+#include "schema/generators.hpp"
 #include "schema/primality_bruteforce.hpp"
 #include "schema/schema.hpp"
 #include "test_util.hpp"
@@ -77,6 +78,57 @@ TEST(EngineConcurrencyTest, AllPrimesMemoUnderContention) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(engine.CumulativeStats().encode_builds, 1u);
   EXPECT_EQ(engine.CumulativeStats().td_builds, 1u);
+}
+
+// IsPrime path walks share the session's bottom-up tables while AllPrimes
+// reads them (or builds and releases a private copy) and drops them once it
+// memoizes: every racing answer must still be right, with one encoding and
+// one decomposition build.
+TEST(EngineConcurrencyTest, IsPrimeRacesAllPrimes) {
+  Rng rng(TestSeed());
+  Schema schema = RandomWindowSchema(16, 11, 4, &rng);
+  const AttributeId n = schema.NumAttributes();
+  std::vector<bool> expected = AllPrimesBruteForce(schema);
+
+  // Fresh engines, so every round races the cold build again.
+  for (size_t table_budget : {size_t{0}, size_t{1}}) {
+    for (int round = 0; round < 4 * kRounds; ++round) {
+      SCOPED_TRACE(testing::Message() << "table_budget " << table_budget
+                                      << " round " << round);
+      EngineOptions options;
+      options.num_threads = 4;
+      options.table_memory_budget = table_budget;
+      Engine engine(schema, options);
+      std::atomic<int> failures{0};
+      std::vector<std::thread> threads;
+      threads.reserve(kThreads);
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          auto all_primes = [&] {
+            auto primes = engine.AllPrimes();
+            if (!primes.ok() || *primes != expected) ++failures;
+          };
+          // Odd threads enumerate first; even ones walk paths first and
+          // enumerate halfway through.
+          if (t % 2 == 1) all_primes();
+          for (AttributeId i = 0; i < n; ++i) {
+            AttributeId a = (i + t * 3) % n;
+            auto prime = engine.IsPrime(a);
+            if (!prime.ok() || *prime != expected[static_cast<size_t>(a)]) {
+              ++failures;
+            }
+            if (t % 2 == 0 && i == n / 2) all_primes();
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+
+      EXPECT_EQ(failures.load(), 0);
+      EXPECT_EQ(engine.CumulativeStats().encode_builds, 1u);
+      EXPECT_EQ(engine.CumulativeStats().td_builds, 1u);
+      EXPECT_EQ(engine.CumulativeStats().normalize_builds, 1u);
+    }
+  }
 }
 
 TEST(EngineConcurrencyTest, GraphSolvesAgreeWithSequentialSession) {

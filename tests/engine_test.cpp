@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/work_budget.hpp"
 #include "datalog/parser.hpp"
 #include "engine/engine.hpp"
 #include "graph/gaifman.hpp"
@@ -7,6 +8,7 @@
 #include "mso/evaluator.hpp"
 #include "mso/formulas.hpp"
 #include "mso/parser.hpp"
+#include "schema/generators.hpp"
 #include "schema/primality_bruteforce.hpp"
 
 namespace treedl {
@@ -98,6 +100,114 @@ TEST(EngineTest, AllPrimesIsMemoized) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(decide.dp_states, 0u);
   EXPECT_GT(decide.cache_hits, 0u);
+}
+
+TEST(EngineTest, IsPrimeReusesBottomUpTables) {
+  BalancedInstance inst = GenerateBalancedInstance(7);
+  const AttributeId n = inst.schema.NumAttributes();
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine engine(inst.schema, options);
+
+  // The first query pays the one normalization and the bottom-up pass.
+  RunStats first;
+  ASSERT_TRUE(engine.IsPrime(0, &first).ok());
+  EXPECT_EQ(first.normalize_builds, 1u);
+  EXPECT_EQ(first.dp_traversals, 1u);
+
+  // The same query again walks only its root-to-leaf path over the cached
+  // tables, so its states are the path's alone.
+  RunStats again;
+  ASSERT_TRUE(engine.IsPrime(0, &again).ok());
+  EXPECT_EQ(again.normalize_builds, 0u);
+  EXPECT_EQ(again.dp_traversals, 0u);
+  // Hits: the enumeration normal form, the encoding, the bottom-up tables.
+  EXPECT_EQ(again.cache_hits, 3u);
+  EXPECT_GT(again.dp_states, 0u);
+  EXPECT_LE(again.dp_max_states_per_node, first.dp_max_states_per_node);
+  const size_t build_states = first.dp_states - again.dp_states;
+  EXPECT_GT(build_states, again.dp_states);
+
+  std::vector<bool> answers(static_cast<size_t>(n));
+  for (AttributeId a = 0; a < n; ++a) {
+    RunStats run;
+    auto prime = engine.IsPrime(a, &run);
+    ASSERT_TRUE(prime.ok()) << prime.status();
+    answers[static_cast<size_t>(a)] = *prime;
+    EXPECT_EQ(run.normalize_builds, 0u) << a;
+    EXPECT_EQ(run.dp_traversals, 0u) << a;
+    EXPECT_LT(run.dp_states, build_states) << a;
+  }
+
+  // AllPrimes reuses the tables too and pays only the top-down pass.
+  RunStats all;
+  auto primes = engine.AllPrimes(&all);
+  ASSERT_TRUE(primes.ok()) << primes.status();
+  EXPECT_EQ(*primes, answers);
+  EXPECT_EQ(all.normalize_builds, 0u);
+  EXPECT_EQ(all.dp_traversals, 1u);
+  EXPECT_GT(all.cache_hits, 0u);
+  EXPECT_EQ(engine.CumulativeStats().normalize_builds, 1u);
+
+  // On a fresh engine AllPrimes pays both passes: the build's states plus
+  // the top-down pass's.
+  Engine fresh(inst.schema, options);
+  RunStats fresh_all;
+  auto fresh_primes = fresh.AllPrimes(&fresh_all);
+  ASSERT_TRUE(fresh_primes.ok()) << fresh_primes.status();
+  EXPECT_EQ(*fresh_primes, answers);
+  EXPECT_EQ(fresh_all.dp_traversals, 2u);
+  EXPECT_EQ(fresh_all.dp_states, build_states + all.dp_states);
+}
+
+TEST(EngineTest, AbortedAllPrimesCachesNoPartialTables) {
+  BalancedInstance inst = GenerateBalancedInstance(7);
+  const AttributeId n = inst.schema.NumAttributes();
+  // Ground truth of the balanced family: z_i is every FD's rhs (not prime),
+  // x_i and y_i lie on no rhs (prime).
+  std::vector<bool> expected;
+  for (AttributeId a = 0; a < n; ++a) {
+    expected.push_back(inst.schema.AttributeName(a)[0] != 'z');
+  }
+  auto expect_correct = [&](Engine& engine) {
+    for (AttributeId a = 0; a < n; ++a) {
+      auto prime = engine.IsPrime(a);
+      ASSERT_TRUE(prime.ok()) << prime.status();
+      EXPECT_EQ(*prime, expected[static_cast<size_t>(a)]) << a;
+    }
+    auto primes = engine.AllPrimes();
+    ASSERT_TRUE(primes.ok()) << primes.status();
+    EXPECT_EQ(*primes, expected);
+  };
+  for (size_t table_budget : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE(table_budget);
+    EngineOptions options;
+    options.num_threads = 1;
+    options.table_memory_budget = table_budget;
+
+    // Aborted inside AllPrimes' own bottom-up pass.
+    Engine cold(inst.schema, options);
+    WorkBudget tiny;
+    tiny.SetDeadline(10);
+    EXPECT_EQ(cold.AllPrimes(nullptr, &tiny).status().code(),
+              StatusCode::kDeadlineExceeded);
+    expect_correct(cold);
+
+    // Aborted inside the top-down pass over the tables IsPrime cached.
+    Engine warm(inst.schema, options);
+    ASSERT_TRUE(warm.IsPrime(0).ok());
+    tiny.Reset();
+    EXPECT_EQ(warm.AllPrimes(nullptr, &tiny).status().code(),
+              StatusCode::kDeadlineExceeded);
+    RunStats next;
+    auto prime = warm.IsPrime(0, &next);
+    ASSERT_TRUE(prime.ok()) << prime.status();
+    EXPECT_EQ(*prime, expected[0]);
+    // The aborted pass only read the shared tables, so they stay cached
+    // and the next query walks its path without a rebuild.
+    EXPECT_EQ(next.dp_traversals, 0u);
+    expect_correct(warm);
+  }
 }
 
 TEST(EngineTest, RejectsBadQueries) {

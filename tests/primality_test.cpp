@@ -6,6 +6,7 @@
 #include "schema/generators.hpp"
 #include "schema/primality_bruteforce.hpp"
 #include "td/heuristics.hpp"
+#include "test_util.hpp"
 
 namespace treedl::core {
 namespace {
@@ -131,6 +132,69 @@ TEST_P(PrimalityPropertyTest, EnumerationMatchesBruteForceAndQuadratic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrimalityPropertyTest, ::testing::Range(0, 25));
+
+// Engine::IsPrime (one solve↓ path over the shared §5.3 tables) against the
+// independent §5.2 route (re-root + normalize + DP per attribute, on its own
+// decomposition), the AllPrimes bits, and brute force on small schemas — at
+// 1 and 4 threads, with and without a table memory budget, and in every
+// order of IsPrime and AllPrimes calls.
+TEST(PrimalityTest, EngineIsPrimeMatchesSection52Route) {
+  Rng rng(TestSeed());
+  std::vector<Schema> schemas;
+  for (int n : {8, 12, 16, 40}) {
+    schemas.push_back(RandomWindowSchema(n, 2 * n / 3, 4, &rng));
+  }
+  schemas.push_back(GenerateBalancedInstance(5).schema);
+  schemas.push_back(GenerateBalancedInstance(13).schema);
+
+  enum class Order { kIsPrimeFirst, kAllPrimesFirst, kInterleaved };
+  for (const Schema& schema : schemas) {
+    SCOPED_TRACE(schema.ToString());
+    const AttributeId n = schema.NumAttributes();
+    SchemaEncoding encoding = EncodeSchema(schema);
+    auto td = DecomposeStructure(encoding.structure);
+    ASSERT_TRUE(td.ok()) << td.status();
+    std::vector<bool> oracle(static_cast<size_t>(n));
+    for (AttributeId a = 0; a < n; ++a) {
+      auto prime = IsPrimeViaTd(schema, encoding, *td, a);
+      ASSERT_TRUE(prime.ok()) << prime.status();
+      oracle[static_cast<size_t>(a)] = *prime;
+      if (n <= 20) {
+        EXPECT_EQ(*prime, IsPrimeBruteForce(schema, a)) << a;
+      }
+    }
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (size_t table_budget : {size_t{0}, size_t{1} << 12}) {
+        for (Order order :
+             {Order::kIsPrimeFirst, Order::kAllPrimesFirst,
+              Order::kInterleaved}) {
+          SCOPED_TRACE(testing::Message()
+                       << "threads " << threads << " table_budget "
+                       << table_budget << " order " << static_cast<int>(order));
+          EngineOptions options;
+          options.num_threads = threads;
+          options.table_memory_budget = table_budget;
+          Engine engine(schema, options);
+          std::vector<bool> all;
+          auto all_primes = [&] {
+            auto primes = engine.AllPrimes();
+            ASSERT_TRUE(primes.ok()) << primes.status();
+            all = *primes;
+          };
+          if (order == Order::kAllPrimesFirst) all_primes();
+          for (AttributeId a = 0; a < n; ++a) {
+            auto prime = engine.IsPrime(a);
+            ASSERT_TRUE(prime.ok()) << prime.status();
+            EXPECT_EQ(*prime, oracle[static_cast<size_t>(a)]) << a;
+            if (order == Order::kInterleaved && a == n / 2) all_primes();
+          }
+          if (order == Order::kIsPrimeFirst) all_primes();
+          EXPECT_EQ(all, oracle);
+        }
+      }
+    }
+  }
+}
 
 TEST(PrimalityTest, RejectsBadInputs) {
   Schema schema = Schema::PaperExampleSchema();
