@@ -1,7 +1,8 @@
 // FlatTable: the arena-backed open-addressing state table of the tree DPs.
 //
 // Replaces std::unordered_map<State, Value> as the per-bag table of
-// core/tree_dp.hpp. Layout:
+// core/tree_dp.hpp. A State is an integer (the graph DPs' packed bag words,
+// core/bag_codec.hpp) or a type with hash() and operator==. Layout:
 //
 //   entries_  — dense array of {hash, {State, Value}} records in insertion
 //               order; this is what iteration walks, so the transition loops
@@ -29,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "common/arena.hpp"
@@ -83,10 +85,13 @@ class FlatTable {
   Iterator begin() const { return Iterator{records_}; }
   Iterator end() const { return Iterator{records_ + size_}; }
 
+  /// The `i`-th entry in insertion order.
+  const Entry& operator[](size_t i) const { return records_[i].entry; }
+
   /// Pointer to the value of `state`, or null.
   const Value* Find(const State& state) const {
     if (size_ == 0) return nullptr;
-    size_t hash = state.hash();
+    size_t hash = HashOf(state);
     for (size_t probe = hash & slot_mask_;; probe = (probe + 1) & slot_mask_) {
       uint32_t slot = slots_[probe];
       if (slot == 0) return nullptr;
@@ -110,7 +115,7 @@ class FlatTable {
   /// `merge(old, value)` when `state` is already present.
   template <typename MergeFn>
   void Emplace(State state, Value value, MergeFn&& merge) {
-    size_t hash = state.hash();
+    size_t hash = HashOf(state);
     // Probe for an existing entry BEFORE growing: a merge that lands exactly
     // at the capacity boundary must not trigger a pointless reallocation.
     size_t probe = 0;
@@ -139,21 +144,13 @@ class FlatTable {
       }
     }
     new (&records_[size_]) Record{hash, {std::move(state), std::move(value)}};
-    // States that support it (ByteVec members) move any heap-spilled bytes
-    // into the table arena, so a stored state never keeps a private heap
-    // block: its storage is freed by Release() with everything else and is
-    // counted by MemoryBytes().
-    if constexpr (requires(State& s, Arena* a) { s.RelocateTo(a); }) {
-      records_[size_].entry.first.RelocateTo(&arena_);
-    }
     slots_[probe] = static_cast<uint32_t>(++size_);
   }
 
   /// The arena footprint in bytes — what this table charges against
-  /// DpStats::peak_table_bytes / EngineOptions::table_memory_budget.
-  /// Arena-relocatable states (see Emplace) keep their spilled bytes in this
-  /// same arena, so their storage is included; only states that hold plain
-  /// heap-owning members (e.g. std::vector) escape the count.
+  /// DpStats::peak_table_bytes / EngineOptions::table_memory_budget. States
+  /// that hold heap-owning members (e.g. std::vector) keep those bytes out of
+  /// the count; packed integer states are entirely inside it.
   size_t MemoryBytes() const { return arena_.TotalBytes(); }
 
   /// Eviction: destroys every entry and frees the arena, returning the table
@@ -169,6 +166,22 @@ class FlatTable {
   }
 
  private:
+  // Integer states (the graph DPs' packed words) are mixed with the murmur3
+  // finalizer — probing uses the low bits; other states provide hash().
+  static size_t HashOf(const State& state) {
+    if constexpr (std::is_integral_v<State>) {
+      uint64_t x = static_cast<uint64_t>(state);
+      x ^= x >> 33;
+      x *= 0xff51afd7ed558ccdULL;
+      x ^= x >> 33;
+      x *= 0xc4ceb9fe1a85ec53ULL;
+      x ^= x >> 33;
+      return static_cast<size_t>(x);
+    } else {
+      return state.hash();
+    }
+  }
+
   // Slot count stays >= 2x entry capacity, so the load factor never exceeds
   // 0.5 and linear probing stays short.
   void Grow() {

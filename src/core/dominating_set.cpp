@@ -1,135 +1,87 @@
 #include <algorithm>
 
-#include "common/byte_vec.hpp"
+#include "core/bag_codec.hpp"
 #include "core/extensions.hpp"
 
 namespace treedl::core {
 
 namespace {
 
-// Per bag vertex: in the dominating set, already dominated, or still waiting.
-enum : uint8_t { kInSet = 0, kDominated = 1, kWaiting = 2 };
+using Codec = BagCodec<2>;
 
-struct DomState {
-  ByteVec status;
+// Per bag position, 2 bits (BagCodec<2>): in the dominating set, already
+// dominated, or still waiting. Waiting is the only code with the high bit.
+enum : uint64_t { kInSet = 0, kDominated = 1, kWaiting = 2 };
 
-  bool operator==(const DomState&) const = default;
-  size_t hash() const { return status.hash(); }
-};
-
-// Join key: the in-set pattern (domination flags may differ between sides).
-struct DomKey {
-  ByteVec in_set;
-
-  bool operator==(const DomKey&) const = default;
-  size_t hash() const { return in_set.hash(); }
-};
-
-size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
-  return static_cast<size_t>(
-      std::lower_bound(bag.begin(), bag.end(), e) - bag.begin());
-}
+// Field masks of the waiting positions and of the positions outside the set.
+uint64_t WaitingOf(uint64_t s) { return (s >> 1) & Codec::kLowBits; }
+uint64_t OutOf(uint64_t s) { return (s | (s >> 1)) & Codec::kLowBits; }
 
 class DominatingProblem {
  public:
-  using State = DomState;
+  using State = uint64_t;
   using Value = size_t;
-  using Emit = std::function<void(State, Value)>;
+  using Node = NodeMasks<2>;
 
   explicit DominatingProblem(const Graph& graph) : graph_(graph) {}
 
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    size_t n = bag.size();
+  Node AtNode(const NormNode& node) const { return Node(graph_, node); }
+
+  // Every in-set mask in increasing order, with bag-internal domination.
+  template <typename Emit>
+  void Leaf(const Node& node, const Emit& emit) const {
+    size_t n = node.size;
     for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
-      State s;
-      s.status.resize(n);
-      size_t size = 0;
+      uint64_t in_set = Codec::Spread(mask);
+      State s = 0;
       for (size_t i = 0; i < n; ++i) {
-        if ((mask >> i) & 1) {
-          s.status[i] = kInSet;
-          ++size;
-        } else {
-          s.status[i] = kWaiting;
-        }
+        if (in_set & Codec::Bit(i)) continue;
+        uint64_t status = (node.pos_adj[i] & in_set) ? kDominated : kWaiting;
+        s |= status * Codec::Bit(i);
       }
-      // Bag-internal domination.
-      for (size_t i = 0; i < n; ++i) {
-        if (s.status[i] != kWaiting) continue;
-        for (size_t j = 0; j < n; ++j) {
-          if (s.status[j] == kInSet && graph_.HasEdge(bag[i], bag[j])) {
-            s.status[i] = kDominated;
-            break;
-          }
-        }
-      }
-      emit(std::move(s), size);
+      emit(s, Codec::Count(in_set));
     }
   }
 
-  void Introduce(const std::vector<ElementId>& bag, ElementId v,
-                 const State& child, const Value& value,
+  template <typename Emit>
+  void Introduce(const Node& node, const State& child, const Value& value,
                  const Emit& emit) const {
-    size_t pos = PositionInBag(bag, v);
-    // Choice 1: v joins the dominating set — it may dominate waiting bag
-    // neighbors.
+    // Choice 1: v joins the dominating set — it dominates its waiting bag
+    // neighbours (10 -> 01).
     {
-      State s = child;
-      s.status.insert(s.status.begin() + static_cast<long>(pos), kInSet);
-      for (size_t i = 0; i < bag.size(); ++i) {
-        if (s.status[i] == kWaiting && graph_.HasEdge(bag[i], v)) {
-          s.status[i] = kDominated;
-        }
-      }
-      emit(std::move(s), value + 1);
+      State s = Codec::Insert(child, node.pos, kInSet);
+      uint64_t newly = WaitingOf(s) & node.adj;
+      emit(s ^ (newly | (newly << 1)), value + 1);
     }
-    // Choice 2: v stays out; it is dominated iff some bag neighbor is in the
-    // set (v cannot have neighbors in the already-forgotten part).
+    // Choice 2: v stays out; it is dominated iff some bag neighbour is in the
+    // set (v cannot have neighbours in the already-forgotten part).
     {
-      uint8_t status = kWaiting;
-      for (size_t i = 0; i < bag.size(); ++i) {
-        if (bag[i] == v) continue;
-        size_t child_pos = i < pos ? i : i - 1;
-        if (child.status[child_pos] == kInSet && graph_.HasEdge(bag[i], v)) {
-          status = kDominated;
-          break;
-        }
-      }
-      State s = child;
-      s.status.insert(s.status.begin() + static_cast<long>(pos), status);
-      emit(std::move(s), value);
+      bool dominated = (~OutOf(child) & node.child_adj) != 0;
+      emit(Codec::Insert(child, node.pos, dominated ? kDominated : kWaiting),
+           value);
     }
   }
 
-  void Forget(const std::vector<ElementId>& bag, ElementId v,
-              const State& child, const Value& value, const Emit& emit) const {
-    size_t pos = PositionInBag(bag, v);
-    // A forgotten vertex can never be dominated later.
-    if (child.status[pos] == kWaiting) return;
-    State s = child;
-    s.status.erase(s.status.begin() + static_cast<long>(pos));
-    emit(std::move(s), value);
+  // A forgotten vertex can never be dominated later.
+  template <typename Emit>
+  void Forget(const Node& node, const State& child, const Value& value,
+              const Emit& emit) const {
+    if (Codec::Get(child, node.pos) == kWaiting) return;
+    emit(Codec::Erase(child, node.pos), value);
   }
 
-  DomKey KeyOf(const State& s) const {
-    DomKey key;
-    key.in_set.reserve(s.status.size());
-    for (uint8_t st : s.status) key.in_set.push_back(st == kInSet ? 1 : 0);
-    return key;
-  }
+  // Join key: the in-set pattern (domination flags may differ between
+  // sides), as the mask of positions outside the set.
+  uint64_t KeyOf(const State& s) const { return OutOf(s); }
 
-  void Join(const std::vector<ElementId>& /*bag*/, const State& a,
-            const Value& va, const State& b, const Value& vb,
-            const Emit& emit) const {
-    State s = a;
-    size_t shared = 0;
-    for (size_t i = 0; i < s.status.size(); ++i) {
-      if (s.status[i] == kInSet) {
-        ++shared;
-      } else if (a.status[i] == kDominated || b.status[i] == kDominated) {
-        s.status[i] = kDominated;
-      }
-    }
-    emit(std::move(s), va + vb - shared);
+  // Per position outside the set: dominated (01) if either side is, else
+  // waiting (10) — the OR of the low bits and the AND of the high bits.
+  template <typename Emit>
+  void Join(const Node& node, const State& a, const Value& va,
+            const State& b, const Value& vb, const Emit& emit) const {
+    size_t shared = node.size - Codec::Count(OutOf(a));
+    State s = ((a | b) & Codec::kLowBits) | (a & b & ~Codec::kLowBits);
+    emit(s, va + vb - shared);
   }
 
   Value Merge(const Value& a, const Value& b) const { return std::min(a, b); }
@@ -148,11 +100,7 @@ std::function<StatusOr<size_t>()> AddDominatingSetPass(
   return [table, &graph, &ntd]() -> StatusOr<size_t> {
     size_t best = graph.NumVertices() + 1;
     for (const auto& [state, value] : table->at(ntd.root())) {
-      bool complete = true;
-      for (uint8_t st : state.status) {
-        if (st == kWaiting) complete = false;
-      }
-      if (complete) best = std::min(best, value);
+      if (WaitingOf(state) == 0) best = std::min(best, value);
     }
     if (best > graph.NumVertices()) {
       // Every graph has a dominating set (all vertices); reaching this means

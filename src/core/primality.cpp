@@ -15,38 +15,45 @@ using internal::PrimalityContext;
 using internal::PrimJoinKey;
 using internal::PrimState;
 
-// Adapter plugging PrimalityContext into the generic tree-DP driver.
+// Adapter plugging PrimalityContext into the generic tree-DP driver. Its
+// per-node context is the node itself: the Fig. 6 rules read the bag and the
+// introduced or forgotten element.
 struct PrimalityProblem {
   using State = PrimState;
   using Value = std::monostate;
-  using Emit = std::function<void(State, Value)>;
+  using Node = const NormNode*;
 
   const PrimalityContext* context;
 
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    context->LeafStates(bag, [&](PrimState s) { emit(std::move(s), {}); });
+  Node AtNode(const NormNode& node) const { return &node; }
+
+  template <typename Emit>
+  void Leaf(Node node, const Emit& emit) const {
+    context->LeafStates(node->bag,
+                        [&](PrimState s) { emit(std::move(s), {}); });
   }
-  void Introduce(const std::vector<ElementId>& bag, ElementId e,
-                 const State& s, const Value&, const Emit& emit) const {
+  template <typename Emit>
+  void Introduce(Node node, const State& s, const Value&,
+                 const Emit& emit) const {
     auto forward = [&](PrimState next) { emit(std::move(next), {}); };
-    if (context->IsAttr(e)) {
-      context->IntroduceAttr(bag, e, s, forward);
+    if (context->IsAttr(node->element)) {
+      context->IntroduceAttr(node->bag, node->element, s, forward);
     } else {
-      context->IntroduceFd(bag, e, s, forward);
+      context->IntroduceFd(node->bag, node->element, s, forward);
     }
   }
-  void Forget(const std::vector<ElementId>& bag, ElementId e, const State& s,
-              const Value&, const Emit& emit) const {
+  template <typename Emit>
+  void Forget(Node node, const State& s, const Value&, const Emit& emit) const {
     auto forward = [&](PrimState next) { emit(std::move(next), {}); };
-    if (context->IsAttr(e)) {
-      context->ForgetAttr(bag, e, s, forward);
+    if (context->IsAttr(node->element)) {
+      context->ForgetAttr(node->bag, node->element, s, forward);
     } else {
-      context->ForgetFd(bag, e, s, forward);
+      context->ForgetFd(node->bag, node->element, s, forward);
     }
   }
   PrimJoinKey KeyOf(const State& s) const { return context->KeyOf(s); }
-  void Join(const std::vector<ElementId>& /*bag*/, const State& a,
-            const Value&, const State& b, const Value&,
+  template <typename Emit>
+  void Join(Node, const State& a, const Value&, const State& b, const Value&,
             const Emit& emit) const {
     context->Join(a, b, [&](PrimState next) { emit(std::move(next), {}); });
   }

@@ -2,88 +2,70 @@
 
 #include <algorithm>
 
-#include "common/byte_vec.hpp"
+#include "core/bag_codec.hpp"
 
 namespace treedl::core {
 
 namespace {
 
-// Bag coloring aligned with the node's sorted bag. ByteVec keeps the bytes
-// inline for ordinary widths and relocates any spill into the state table's
-// arena — no per-state heap allocation survives an insert.
-struct ColorState {
-  ByteVec colors;
+using Codec = BagCodec<2>;
 
-  bool operator==(const ColorState&) const = default;
-  size_t hash() const { return colors.hash(); }
-};
-
-size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
-  return static_cast<size_t>(
-      std::lower_bound(bag.begin(), bag.end(), e) - bag.begin());
-}
-
+// State: the bag coloring, one 2-bit colour per bag position (BagCodec<2>).
+//
 // Shared transition logic, parameterized over the value semiring:
 //   decision: Value = monostate, Merge = first;
 //   counting: Value = uint64_t, Leaf seeds 1, Merge adds, Join multiplies.
 template <bool kCounting>
 class ColorProblem {
  public:
-  using State = ColorState;
+  using State = uint64_t;
   using Value = std::conditional_t<kCounting, uint64_t, std::monostate>;
-  using Emit = std::function<void(State, Value)>;
+  using Node = NodeMasks<2>;
 
   explicit ColorProblem(const Graph& graph) : graph_(graph) {}
 
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    State state;
-    state.colors.assign(bag.size(), 0);
-    while (true) {
-      if (ProperOnBag(bag, state)) emit(state, One());
-      size_t pos = 0;
-      while (pos < bag.size() && ++state.colors[pos] == 3) {
-        state.colors[pos] = 0;
-        ++pos;
+  Node AtNode(const NormNode& node) const { return Node(graph_, node); }
+
+  // Every proper coloring, in the order of the base-3 odometer with position
+  // 0 fastest: positions are coloured from the top down, 0 before 1 before
+  // 2, each tested against the positions above it.
+  template <typename Emit>
+  void Leaf(const Node& node, const Emit& emit) const {
+    auto assign = [&](auto& self, size_t pos, State s) -> void {
+      if (pos == 0) {
+        emit(s, One());
+        return;
       }
-      if (pos == bag.size()) break;
-    }
+      --pos;
+      for (uint64_t c = 0; c < 3; ++c) {
+        if ((Codec::Equal(s, c) & node.AdjAbove(pos)) == 0) {
+          self(self, pos, s | (c * Codec::Bit(pos)));
+        }
+      }
+    };
+    assign(assign, node.size, 0);
   }
 
-  void Introduce(const std::vector<ElementId>& bag, ElementId v,
-                 const State& child, const Value& value,
+  // allowed(s, ·): the new vertex must not clash with its bag neighbours.
+  template <typename Emit>
+  void Introduce(const Node& node, const State& child, const Value& value,
                  const Emit& emit) const {
-    size_t pos = PositionInBag(bag, v);
-    for (uint8_t c = 0; c < 3; ++c) {
-      // allowed(s, ·): the new vertex must not clash with its bag neighbors.
-      bool ok = true;
-      for (size_t i = 0; i < bag.size() && ok; ++i) {
-        if (bag[i] == v) continue;
-        uint8_t other = child.colors[i < pos ? i : i - 1];
-        if (other == c && graph_.HasEdge(v, bag[i])) ok = false;
+    for (uint64_t c = 0; c < 3; ++c) {
+      if ((Codec::Equal(child, c) & node.child_adj) == 0) {
+        emit(Codec::Insert(child, node.pos, c), value);
       }
-      if (!ok) continue;
-      State state = child;
-      state.colors.insert(state.colors.begin() + static_cast<long>(pos), c);
-      emit(std::move(state), value);
     }
   }
 
-  void Forget(const std::vector<ElementId>& bag, ElementId v,
-              const State& child, const Value& value, const Emit& emit) const {
-    // The child bag is this bag plus v.
-    size_t pos = PositionInBag(bag, v);
-    State state = child;
-    state.colors.erase(state.colors.begin() + static_cast<long>(pos));
-    emit(std::move(state), value);
+  template <typename Emit>
+  void Forget(const Node& node, const State& child, const Value& value,
+              const Emit& emit) const {
+    emit(Codec::Erase(child, node.pos), value);
   }
 
-  const State& KeyOf(const State& state) const { return state; }
-
-  void Join(const std::vector<ElementId>& /*bag*/, const State& a,
-            const Value& va, const State& b, const Value& vb,
-            const Emit& emit) const {
-    TREEDL_DCHECK(a == b);
-    (void)b;
+  template <typename Emit>
+  void Join(const Node& /*node*/, const State& a, const Value& va,
+            const State& /*b*/, const Value& vb, const Emit& emit) const {
     if constexpr (kCounting) {
       emit(a, va * vb);
     } else {
@@ -110,29 +92,23 @@ class ColorProblem {
     }
   }
 
-  bool ProperOnBag(const std::vector<ElementId>& bag, const State& s) const {
-    for (size_t i = 0; i < bag.size(); ++i) {
-      for (size_t j = i + 1; j < bag.size(); ++j) {
-        if (s.colors[i] == s.colors[j] && graph_.HasEdge(bag[i], bag[j])) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
   const Graph& graph_;
 };
+
+size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
+  return static_cast<size_t>(
+      std::lower_bound(bag.begin(), bag.end(), e) - bag.begin());
+}
 
 // Reconstructs one proper coloring by walking the table top-down from an
 // accepting root state, re-deriving a consistent predecessor at each node.
 std::vector<int> ExtractColoring(const Graph& graph,
                                  const NormalizedTreeDecomposition& ntd,
-                                 const DpTable<ColorState, std::monostate>& table,
-                                 const ColorState& root_state) {
+                                 const DpTable<uint64_t, std::monostate>& table,
+                                 uint64_t root_state) {
   std::vector<int> colors(graph.NumVertices(), -1);
   // chosen[node] = the state selected for that node.
-  std::vector<ColorState> chosen(ntd.NumNodes());
+  std::vector<uint64_t> chosen(ntd.NumNodes());
   std::vector<bool> has_chosen(ntd.NumNodes(), false);
   chosen[static_cast<size_t>(ntd.root())] = root_state;
   has_chosen[static_cast<size_t>(ntd.root())] = true;
@@ -140,12 +116,12 @@ std::vector<int> ExtractColoring(const Graph& graph,
   for (TdNodeId id : ntd.PreOrder()) {
     TREEDL_CHECK(has_chosen[static_cast<size_t>(id)]);
     const NormNode& node = ntd.node(id);
-    const ColorState& state = chosen[static_cast<size_t>(id)];
+    uint64_t state = chosen[static_cast<size_t>(id)];
     for (size_t i = 0; i < node.bag.size(); ++i) {
-      colors[node.bag[i]] = state.colors[i];
+      colors[node.bag[i]] = static_cast<int>(Codec::Get(state, i));
     }
-    auto set_child = [&](TdNodeId child, ColorState s) {
-      chosen[static_cast<size_t>(child)] = std::move(s);
+    auto set_child = [&](TdNodeId child, uint64_t s) {
+      chosen[static_cast<size_t>(child)] = s;
       has_chosen[static_cast<size_t>(child)] = true;
     };
     switch (node.kind) {
@@ -156,25 +132,20 @@ std::vector<int> ExtractColoring(const Graph& graph,
         for (TdNodeId c : node.children) set_child(c, state);
         break;
       case NormNodeKind::kIntroduce: {
-        size_t pos = PositionInBag(node.bag, node.element);
-        ColorState child_state = state;
-        child_state.colors.erase(child_state.colors.begin() +
-                                 static_cast<long>(pos));
-        TREEDL_CHECK(
-            table.at(node.children[0]).count(child_state) > 0)
+        uint64_t child_state =
+            Codec::Erase(state, PositionInBag(node.bag, node.element));
+        TREEDL_CHECK(table.at(node.children[0]).count(child_state) > 0)
             << "introduce predecessor missing";
-        set_child(node.children[0], std::move(child_state));
+        set_child(node.children[0], child_state);
         break;
       }
       case NormNodeKind::kForget: {
         size_t pos = PositionInBag(node.bag, node.element);
         bool found = false;
-        for (uint8_t c = 0; c < 3 && !found; ++c) {
-          ColorState child_state = state;
-          child_state.colors.insert(
-              child_state.colors.begin() + static_cast<long>(pos), c);
+        for (uint64_t c = 0; c < 3 && !found; ++c) {
+          uint64_t child_state = Codec::Insert(state, pos, c);
           if (table.at(node.children[0]).count(child_state)) {
-            set_child(node.children[0], std::move(child_state));
+            set_child(node.children[0], child_state);
             found = true;
           }
         }

@@ -6,19 +6,44 @@
 // optimization (2), "lazy grounding"). Problems plug in transition hooks:
 //
 //   struct Problem {
-//     using State = ...;   // provides hash() and operator==
+//     using State = ...;   // an integer (the graph DPs' packed BagCodec
+//                          // word), or a type with hash() and operator==
 //     using Value = ...;   // e.g. std::monostate (decision), uint64_t (count)
-//     void Leaf(bag, emit);
-//     void Introduce(bag, element, state, value, emit);
-//     void Forget(bag, element, state, value, emit);
-//     JoinKey KeyOf(state);                     // JoinKey provides hash()/==
-//     void Join(bag, s1, v1, s2, v2, emit);     // called per key-equal pair
+//     using Node = ...;    // what the transitions need of one node
+//     Node AtNode(const NormNode& node) const;
+//     template <typename Emit> void Leaf(const Node&, const Emit&) const;
+//     template <typename Emit>
+//     void Introduce(const Node&, const State&, const Value&,
+//                    const Emit&) const;
+//     template <typename Emit>
+//     void Forget(const Node&, const State&, const Value&, const Emit&) const;
+//     template <typename Emit>
+//     void Join(const Node&, const State& s1, const Value& v1,
+//               const State& s2, const Value& v2, const Emit&) const;
 //     Value Merge(v1, v2);                      // same state reached twice
+//     JoinKey KeyOf(state);                     // optional, see below
 //   };
 //
-// `emit(state, value)` may be called any number of times per transition.
-// Merge must be commutative and associative — the driver relies on this for
+// `emit(state, value)` may be called any number of times per transition; it
+// is the driver's own lambda, and the hooks are templates on it, so the whole
+// transition inlines into the node loop with nothing type-erased. Merge must
+// be commutative and associative — the driver relies on this for
 // order-independence of the final tables.
+//
+// Per-node work happens once per node, never per state: the driver calls
+// AtNode once before it walks the child table, and hands the result to every
+// transition of that node. The graph DPs compute the bag position of the
+// introduced or forgotten vertex and its neighbour mask over bag positions
+// there (core/bag_codec.hpp), so feasibility, properness and domination are
+// mask tests on the packed state.
+//
+// Branch nodes pair key-equal states of the two children. A problem without
+// KeyOf joins on state equality: the driver walks the left table and probes
+// the right one with Find. A problem with KeyOf (dominating set joins on the
+// in-set mask, primality on (Y, Co, FC)) gets a flat index over the right
+// table that chains equal keys in the right table's insertion order. Either
+// way the join emits in left order, then right insertion order — the order
+// that decides the tables' insertion order, and with it the 3COL witness.
 //
 // State tables are flat, arena-backed open-addressing tables (StateTable =
 // FlatTable, common/flat_table.hpp): states live contiguously per bag in the
@@ -60,7 +85,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -172,69 +196,89 @@ struct TableMemoryTracker {
   }
 };
 
+/// One join key's entries of the right table: the first and last entry
+/// index; JoinOnKeys' `next` array links the ones in between, in insertion
+/// order.
+struct KeyChain {
+  uint32_t head;
+  uint32_t tail;
+};
+
+/// The branch join of a problem with KeyOf: pairs every left state with the
+/// right states of the same key, in left order, then right insertion order.
+template <typename Problem, typename Node, typename Table, typename Emit>
+void JoinOnKeys(const Problem& problem, const Node& ctx, const Table& left,
+                const Table& right, const Emit& emit) {
+  using Key = std::decay_t<decltype(problem.KeyOf(left.begin()->first))>;
+  constexpr uint32_t kEnd = ~uint32_t{0};
+  FlatTable<Key, KeyChain> chains;
+  std::vector<uint32_t> next(right.size(), kEnd);
+  for (uint32_t i = 0; i < right.size(); ++i) {
+    chains.Emplace(problem.KeyOf(right[i].first), KeyChain{i, i},
+                   [&](const KeyChain& chain, const KeyChain& added) {
+                     next[chain.tail] = added.head;
+                     return KeyChain{chain.head, added.tail};
+                   });
+  }
+  for (const auto& [state, value] : left) {
+    const KeyChain* chain = chains.Find(problem.KeyOf(state));
+    if (chain == nullptr) continue;
+    for (uint32_t j = chain->head; j != kEnd; j = next[j]) {
+      problem.Join(ctx, state, value, right[j].first, right[j].second, emit);
+    }
+  }
+}
+
 /// Computes one node's state table from its children's completed tables — the
 /// single source of the transition semantics.
 template <typename Problem>
 void DpProcessNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                   Problem* problem,
+                   const Problem& problem,
                    DpTable<typename Problem::State,
                            typename Problem::Value>* table) {
   using State = typename Problem::State;
   using Value = typename Problem::Value;
   const NormNode& node = ntd.node(id);
   auto& states = table->nodes[static_cast<size_t>(id)];
-  auto emit = [&](State state, Value value) {
-    states.Emplace(std::move(state), std::move(value),
-                   [&](const Value& existing, const Value& incoming) {
-                     return problem->Merge(existing, incoming);
-                   });
+  auto merge = [&](const Value& existing, const Value& incoming) {
+    return problem.Merge(existing, incoming);
   };
+  auto emit = [&](State state, Value value) {
+    states.Emplace(std::move(state), std::move(value), merge);
+  };
+  auto child = [&](size_t i) -> const StateTable<State, Value>& {
+    return table->nodes[static_cast<size_t>(node.children[i])];
+  };
+  const auto ctx = problem.AtNode(node);
   switch (node.kind) {
     case NormNodeKind::kLeaf:
-      problem->Leaf(node.bag, emit);
+      problem.Leaf(ctx, emit);
       break;
-    case NormNodeKind::kIntroduce: {
-      const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
-      for (const auto& [state, value] : child) {
-        problem->Introduce(node.bag, node.element, state, value, emit);
+    case NormNodeKind::kIntroduce:
+      for (const auto& [state, value] : child(0)) {
+        problem.Introduce(ctx, state, value, emit);
       }
       break;
-    }
-    case NormNodeKind::kForget: {
-      const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
-      for (const auto& [state, value] : child) {
-        problem->Forget(node.bag, node.element, state, value, emit);
+    case NormNodeKind::kForget:
+      for (const auto& [state, value] : child(0)) {
+        problem.Forget(ctx, state, value, emit);
       }
       break;
-    }
-    case NormNodeKind::kCopy: {
-      const auto& child = table->nodes[static_cast<size_t>(node.children[0])];
-      for (const auto& [state, value] : child) emit(state, value);
-      break;
-    }
-    case NormNodeKind::kBranch: {
-      const auto& left = table->nodes[static_cast<size_t>(node.children[0])];
-      const auto& right = table->nodes[static_cast<size_t>(node.children[1])];
-      // Bucket the right child's entries by join key, then pair. Entry
-      // pointers stay valid while the (completed) right table is alive.
-      using Entry = typename StateTable<State, Value>::Entry;
-      using JoinKey = std::decay_t<decltype(problem->KeyOf(
-          std::declval<const State&>()))>;
-      std::unordered_map<JoinKey, std::vector<const Entry*>,
-                         MemberHash<JoinKey>>
-          buckets;
-      for (const auto& entry : right) {
-        buckets[problem->KeyOf(entry.first)].push_back(&entry);
-      }
-      for (const auto& [state, value] : left) {
-        auto it = buckets.find(problem->KeyOf(state));
-        if (it == buckets.end()) continue;
-        for (const Entry* rhs : it->second) {
-          problem->Join(node.bag, state, value, rhs->first, rhs->second, emit);
+    case NormNodeKind::kBranch:
+      if constexpr (requires(const State& s) { problem.KeyOf(s); }) {
+        JoinOnKeys(problem, ctx, child(0), child(1), emit);
+      } else {
+        const auto& right = child(1);
+        for (const auto& [state, value] : child(0)) {
+          if (const Value* other = right.Find(state)) {
+            problem.Join(ctx, state, value, state, *other, emit);
+          }
         }
       }
       break;
-    }
+    case NormNodeKind::kCopy:
+      for (const auto& [state, value] : child(0)) emit(state, value);
+      break;
   }
 }
 
@@ -270,7 +314,7 @@ void DpStepNode(const NormalizedTreeDecomposition& ntd, TdNodeId id,
                 TableMemoryTracker* memory, bool evict, DpStats* stats,
                 WorkBudget* budget = nullptr) {
   if (budget != nullptr && !budget->ConsumeUnit()) return;
-  DpProcessNode(ntd, id, problem, table);
+  DpProcessNode(ntd, id, *problem, table);
   const auto& states = table->nodes[static_cast<size_t>(id)];
   if (stats != nullptr) {
     stats->total_states += states.size();

@@ -1,96 +1,80 @@
 #include <algorithm>
 
-#include "common/byte_vec.hpp"
+#include "core/bag_codec.hpp"
 #include "core/extensions.hpp"
 
 namespace treedl::core {
 
 namespace {
 
-// Membership flags aligned with the node's sorted bag; the value is the
+// State: one membership bit per bag position (BagCodec<1>); the value is the
 // number of cover/independent vertices committed in the subtree. Covers both
 // vertex cover (minimize) and independent set (maximize) — the transitions
 // differ only in the local feasibility predicate and the optimization sense.
-struct SubsetState {
-  ByteVec in_set;
-
-  bool operator==(const SubsetState&) const = default;
-  size_t hash() const { return in_set.hash(); }
-};
-
-size_t PositionInBag(const std::vector<ElementId>& bag, ElementId e) {
-  return static_cast<size_t>(
-      std::lower_bound(bag.begin(), bag.end(), e) - bag.begin());
-}
-
+// Every stored state is feasible on its bag, so an introduce only tests the
+// new vertex's bag edges.
 template <bool kCover>  // true: vertex cover (min), false: independent (max)
 class SubsetProblem {
  public:
-  using State = SubsetState;
+  using Codec = BagCodec<1>;
+  using State = uint64_t;
   using Value = size_t;
-  using Emit = std::function<void(State, Value)>;
+  using Node = NodeMasks<1>;
 
   explicit SubsetProblem(const Graph& graph) : graph_(graph) {}
 
-  // Vertex cover: every bag-internal edge needs a covered endpoint.
-  // Independent set: no bag-internal edge inside the set.
-  bool Feasible(const std::vector<ElementId>& bag, const State& s) const {
-    for (size_t i = 0; i < bag.size(); ++i) {
-      for (size_t j = i + 1; j < bag.size(); ++j) {
-        if (!graph_.HasEdge(bag[i], bag[j])) continue;
-        if constexpr (kCover) {
-          if (!s.in_set[i] && !s.in_set[j]) return false;
-        } else {
-          if (s.in_set[i] && s.in_set[j]) return false;
+  Node AtNode(const NormNode& node) const { return Node(graph_, node); }
+
+  // Vertex cover: an out vertex needs all its neighbours in the set.
+  // Independent set: an in vertex needs all its neighbours out of it.
+  static bool Allowed(uint64_t chosen, uint64_t set, uint64_t neighbours) {
+    if constexpr (kCover) {
+      return chosen != 0 || (set & neighbours) == neighbours;
+    } else {
+      return chosen == 0 || (set & neighbours) == 0;
+    }
+  }
+
+  // Every feasible mask in increasing order: positions are assigned from the
+  // top down, 0 before 1, each tested against the positions above it.
+  template <typename Emit>
+  void Leaf(const Node& node, const Emit& emit) const {
+    auto assign = [&](auto& self, size_t pos, State s) -> void {
+      if (pos == 0) {
+        emit(s, Codec::Count(s));
+        return;
+      }
+      --pos;
+      for (uint64_t chosen : {0, 1}) {
+        if (Allowed(chosen, s, node.AdjAbove(pos))) {
+          self(self, pos, s | (chosen * Codec::Bit(pos)));
         }
       }
-    }
-    return true;
+    };
+    assign(assign, node.size, 0);
   }
 
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    size_t n = bag.size();
-    for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
-      State s;
-      s.in_set.resize(n);
-      size_t size = 0;
-      for (size_t i = 0; i < n; ++i) {
-        s.in_set[i] = (mask >> i) & 1;
-        size += s.in_set[i];
-      }
-      if (Feasible(bag, s)) emit(std::move(s), size);
-    }
-  }
-
-  void Introduce(const std::vector<ElementId>& bag, ElementId v,
-                 const State& child, const Value& value,
+  template <typename Emit>
+  void Introduce(const Node& node, const State& child, const Value& value,
                  const Emit& emit) const {
-    size_t pos = PositionInBag(bag, v);
-    for (uint8_t chosen : {uint8_t{0}, uint8_t{1}}) {
-      State s = child;
-      s.in_set.insert(s.in_set.begin() + static_cast<long>(pos), chosen);
-      if (Feasible(bag, s)) emit(std::move(s), value + chosen);
+    for (uint64_t chosen : {0, 1}) {
+      if (Allowed(chosen, child, node.child_adj)) {
+        emit(Codec::Insert(child, node.pos, chosen), value + chosen);
+      }
     }
   }
 
-  void Forget(const std::vector<ElementId>& bag, ElementId v,
-              const State& child, const Value& value, const Emit& emit) const {
-    size_t pos = PositionInBag(bag, v);
-    State s = child;
-    s.in_set.erase(s.in_set.begin() + static_cast<long>(pos));
-    emit(std::move(s), value);
+  template <typename Emit>
+  void Forget(const Node& node, const State& child, const Value& value,
+              const Emit& emit) const {
+    emit(Codec::Erase(child, node.pos), value);
   }
 
-  const State& KeyOf(const State& s) const { return s; }
-
-  void Join(const std::vector<ElementId>& /*bag*/, const State& a,
-            const Value& va, const State& b, const Value& vb,
-            const Emit& emit) const {
-    // Bag members are counted in both children; subtract one copy.
-    size_t shared = 0;
-    for (uint8_t f : a.in_set) shared += f;
-    emit(a, va + vb - shared);
-    (void)b;
+  // Bag members are counted in both children; subtract one copy.
+  template <typename Emit>
+  void Join(const Node& /*node*/, const State& a, const Value& va,
+            const State& /*b*/, const Value& vb, const Emit& emit) const {
+    emit(a, va + vb - Codec::Count(a));
   }
 
   Value Merge(const Value& a, const Value& b) const {

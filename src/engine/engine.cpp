@@ -8,6 +8,7 @@
 #include "common/binary_io.hpp"
 #include "common/timer.hpp"
 #include "common/work_budget.hpp"
+#include "core/bag_codec.hpp"
 #include "core/extensions.hpp"
 #include "core/three_color.hpp"
 #include "datalog/eval.hpp"
@@ -331,19 +332,24 @@ StatusOr<const mso2dl::Mso2DlResult*> Engine::EnsureMsoProgram(
   auto it = mso_programs_.find(key);
   if (it != mso_programs_.end()) {
     ++stats->cache_hits;
-    return &it->second;
+  } else {
+    // The construction depends on the formula, the signature and the width
+    // only, so a failure (typically ResourceExhausted at max_types) is as
+    // final as a success and is cached the same way.
+    mso2dl::Mso2DlOptions mopts = options_.mso_options;
+    mopts.width = td->Width();
+    ++stats->mso_compile_builds;
+    it = mso_programs_
+             .emplace(std::move(key),
+                      free_var != nullptr
+                          ? mso2dl::MsoToDatalog(a->signature(), phi,
+                                                 *free_var, mopts)
+                          : mso2dl::MsoToDatalogSentence(a->signature(), phi,
+                                                         mopts))
+             .first;
   }
-  mso2dl::Mso2DlOptions mopts = options_.mso_options;
-  mopts.width = td->Width();
-  StatusOr<mso2dl::Mso2DlResult> compiled =
-      free_var != nullptr
-          ? mso2dl::MsoToDatalog(a->signature(), phi, *free_var, mopts)
-          : mso2dl::MsoToDatalogSentence(a->signature(), phi, mopts);
-  TREEDL_RETURN_IF_ERROR(compiled.status());
-  ++stats->mso_compile_builds;
-  auto [inserted, _] =
-      mso_programs_.emplace(std::move(key), std::move(compiled).value());
-  return &inserted->second;
+  TREEDL_RETURN_IF_ERROR(it->second.status());
+  return &it->second.value();
 }
 
 ThreadPool* Engine::EnsurePool() {
@@ -671,6 +677,7 @@ StatusOr<Engine::SolveAllResult> Engine::SolveFused(
       std::lock_guard<std::mutex> lock(sync_->cache_mu);
       TREEDL_ASSIGN_OR_RETURN(graph, EnsureGaifman(s));
       TREEDL_ASSIGN_OR_RETURN(ntd, EnsurePlainNtd(s));
+      TREEDL_RETURN_IF_ERROR(core::CheckBagCapacity(*ntd));
       exec.pool = EnsurePool();
       exec.sharding = sharding_.has_value() ? &*sharding_ : nullptr;
       exec.table_memory_budget = options_.table_memory_budget;
@@ -844,6 +851,7 @@ size_t Engine::ResidentArtifactBytes() const {
   if (plain_ntd_.has_value()) bytes += NtdCharge(*plain_ntd_);
   if (enum_ntd_.has_value()) bytes += NtdCharge(*enum_ntd_);
   if (tau_td_.has_value()) bytes += StructureCharge(tau_td_->structure);
+  if (prime_up_ != nullptr) bytes += prime_up_->live_bytes;
   return bytes;
 }
 

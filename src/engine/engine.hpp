@@ -268,9 +268,11 @@ class Engine {
 
   /// Deterministic estimate, in bytes, of the cached artifacts currently
   /// resident in this session (structure, encoding, decompositions, normal
-  /// forms, τ_td). Fixed per-item charges, no sizeof — the same session
-  /// state yields the same number on every platform, which is what the
-  /// serving layer's shared admission budget compares.
+  /// forms, τ_td, the §5.3 bottom-up tables). Fixed per-item charges, no
+  /// sizeof — the same session state yields the same number on every
+  /// platform, which is what the serving layer's shared admission budget
+  /// compares. The one exception is a schema session's bottom-up tables,
+  /// charged at their arena footprint (fixed for a given build and input).
   size_t ResidentArtifactBytes() const;
   /// The charge ResidentArtifactBytes assigns to a bare structure — the
   /// admission floor of a session before any artifact is built.
@@ -360,8 +362,9 @@ class Engine {
   /// §5.3 bottom-up solve() tables over enum_ntd_, shared by IsPrime's path
   /// walks and AllPrimes' top-down pass; read-only once published. Never
   /// holds an aborted build, and is dropped once primes_ is memoized. Until
-  /// then it is a session-resident artifact outside both
-  /// EngineOptions::table_memory_budget and ResidentArtifactBytes.
+  /// then it is a session-resident artifact outside
+  /// EngineOptions::table_memory_budget; ResidentArtifactBytes charges its
+  /// arena footprint (live_bytes).
   std::shared_ptr<core::internal::PrimeUpTables> prime_up_;
   std::optional<NormalizedTreeDecomposition> plain_ntd_;
   std::optional<BagSharding> sharding_;
@@ -370,10 +373,12 @@ class Engine {
   std::optional<BagSharding> enum_sharding_;
   std::optional<datalog::TauTdEncoding> tau_td_;
   std::optional<std::vector<bool>> primes_;
-  /// Per-formula cache of compiled Thm 4.5 programs, keyed by query form +
-  /// free variable + formula rendering (node-based map: value addresses are
-  /// stable across inserts).
-  std::unordered_map<std::string, mso2dl::Mso2DlResult> mso_programs_;
+  /// Per-formula cache of Thm 4.5 compile outcomes — the program, or the
+  /// construction's failure status — keyed by query form + free variable +
+  /// formula rendering (node-based map: value addresses are stable across
+  /// inserts).
+  std::unordered_map<std::string, StatusOr<mso2dl::Mso2DlResult>>
+      mso_programs_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Sync> sync_;
   RunStats cumulative_;

@@ -30,8 +30,9 @@ struct RunStats {
   size_t td_builds = 0;
   /// Normalized decompositions built (modified or tuple normal form).
   size_t normalize_builds = 0;
-  /// Thm 4.5 MSO-to-datalog constructions run by this query (0 when the
-  /// compiled program came from the engine's per-formula cache).
+  /// Thm 4.5 MSO-to-datalog constructions run by this query, failed ones
+  /// included (0 when the program, or the failure, came from the engine's
+  /// per-formula cache).
   size_t mso_compile_builds = 0;
   /// Cached artifacts reused instead of rebuilt.
   size_t cache_hits = 0;

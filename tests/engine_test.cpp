@@ -160,6 +160,43 @@ TEST(EngineTest, IsPrimeReusesBottomUpTables) {
   EXPECT_EQ(fresh_all.dp_states, build_states + all.dp_states);
 }
 
+TEST(EngineTest, ResidentBytesChargeTheBottomUpTables) {
+  BalancedInstance inst = GenerateBalancedInstance(7);
+  EngineOptions options;
+  options.num_threads = 1;
+  // A deliberately poor decomposition — eliminate the encoding's elements
+  // in id order — so that the anytime improvement below really swaps it.
+  std::vector<VertexId> order(inst.encoding.structure.NumElements());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<VertexId>(i);
+  }
+  options.elimination_order = order;
+
+  // AllPrimes builds the same decompositions as IsPrime but memoizes the
+  // answers and drops the bottom-up tables: the same artifacts, no tables.
+  Engine reference(inst.schema, options);
+  ASSERT_TRUE(reference.AllPrimes().ok());
+  const size_t without_tables = reference.ResidentArtifactBytes();
+
+  Engine engine(inst.schema, options);
+  const size_t before = engine.ResidentArtifactBytes();
+  ASSERT_TRUE(engine.IsPrime(0).ok());
+  const size_t with_tables = engine.ResidentArtifactBytes();
+  EXPECT_GT(with_tables, before);
+  EXPECT_GT(with_tables, without_tables);
+
+  // A second IsPrime reads the same tables: no further growth.
+  ASSERT_TRUE(engine.IsPrime(1).ok());
+  EXPECT_EQ(engine.ResidentArtifactBytes(), with_tables);
+
+  // Swapping the decomposition drops the tables together with the normal
+  // form they were built over.
+  auto improved = engine.ImproveDecomposition();
+  ASSERT_TRUE(improved.ok()) << improved.status();
+  ASSERT_TRUE(improved->improved);
+  EXPECT_LT(engine.ResidentArtifactBytes(), without_tables);
+}
+
 TEST(EngineTest, AbortedAllPrimesCachesNoPartialTables) {
   BalancedInstance inst = GenerateBalancedInstance(7);
   const AttributeId n = inst.schema.NumAttributes();
@@ -260,6 +297,34 @@ TEST(EngineTest, SolvesGraphProblemsOnOneDecomposition) {
   // ... but five separate traversals — the pattern SolveAll batches away.
   EXPECT_EQ(engine.CumulativeStats().dp_traversals, 5u);
   EXPECT_EQ(engine.CumulativeStats().dp_passes, 5u);
+}
+
+TEST(EngineTest, BagBeyondStateWordCapacityIsResourceExhausted) {
+  // K33 has one bag of 33 vertices, one more than a packed graph-DP state
+  // holds: every problem refuses before the walk instead of enumerating
+  // 3^33 leaf colourings.
+  Engine engine = Engine::FromGraph(CompleteGraph(33));
+  for (Engine::Problem problem :
+       {Engine::Problem::kThreeColor, Engine::Problem::kThreeColorCount,
+        Engine::Problem::kVertexCover, Engine::Problem::kIndependentSet,
+        Engine::Problem::kDominatingSet}) {
+    RunStats stats;
+    auto solved = engine.Solve(problem, &stats);
+    ASSERT_FALSE(solved.ok());
+    EXPECT_EQ(solved.status().code(), StatusCode::kResourceExhausted)
+        << solved.status();
+    EXPECT_EQ(stats.dp_traversals, 0u);
+    EXPECT_EQ(stats.dp_states, 0u);
+  }
+  auto all = engine.SolveAll();
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kResourceExhausted);
+
+  // 32 vertices still fit: K32 is solved, not refused.
+  auto k32 = Engine::FromGraph(CompleteGraph(32)).Solve(
+      Engine::Problem::kVertexCover);
+  ASSERT_TRUE(k32.ok()) << k32.status();
+  EXPECT_EQ(k32->optimum, 31u);
 }
 
 TEST(EngineTest, SolveAllBatchesFiveProblemsIntoOneTraversal) {
@@ -419,6 +484,44 @@ TEST(EngineTest, MsoProgramCacheSkipsRepeatedThm45Construction) {
 
   // Session-wide: exactly two constructions for three evaluations.
   EXPECT_EQ(engine.CumulativeStats().mso_compile_builds, 2u);
+}
+
+TEST(EngineTest, MsoCompileFailureIsCachedLikeASuccess) {
+  // The setup of the test above, with a type budget the construction cannot
+  // meet: the Thm 4.5 compile fails, and since it depends on the formula and
+  // the width only, the failure is cached under the formula's key.
+  Signature unary = Signature::Make({{"p", 1}}).value();
+  Structure a(unary);
+  for (int i = 0; i < 6; ++i) a.AddElement("u" + std::to_string(i));
+  ASSERT_TRUE(a.AddFactNamed("p", {"u1"}).ok());
+  TreeDecomposition path_td;
+  TdNodeId prev = path_td.AddNode({0, 1});
+  for (ElementId e = 1; e + 1 < 6; ++e) {
+    prev = path_td.AddNode({e, e + 1}, prev);
+  }
+  auto query = mso::ParseFormula("p(x) & (ex1 y: (~(y = x) & p(y)))");
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  EngineOptions options;
+  options.decomposition = path_td;
+  options.mso_options.max_types = 2;
+  Engine engine{Structure(a), options};
+
+  RunStats first;
+  auto failed = engine.EvaluateMsoUnary(*query, "x", &first);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted)
+      << failed.status();
+  EXPECT_EQ(first.mso_compile_builds, 1u);
+
+  RunStats second;
+  auto again = engine.EvaluateMsoUnary(*query, "x", &second);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), failed.status().code());
+  EXPECT_EQ(again.status().message(), failed.status().message());
+  EXPECT_EQ(second.mso_compile_builds, 0u);
+  EXPECT_GT(second.cache_hits, 0u);
+  EXPECT_EQ(engine.CumulativeStats().mso_compile_builds, 1u);
 }
 
 TEST(EngineTest, MsoSentenceOnTrivialStructureFallsBackToDirect) {

@@ -162,6 +162,27 @@ TEST(ServerTest, TenantAndArgumentErrors) {
   EXPECT_GT(server.stats().replies_error, 0u);
 }
 
+// A tenant whose decomposition has a bag wider than a packed graph-DP state
+// (K33: one bag of 33) gets a typed ERR for every graph problem instead of a
+// request that never returns, and the server keeps serving.
+TEST(ServerTest, SolveBeyondStateWordCapacityIsAnError) {
+  Server server(QuietOptions());
+  std::string load = "LOAD k SIG e/2 FACTS";
+  for (int u = 0; u < 33; ++u) {
+    for (int v = u + 1; v < 33; ++v) {
+      load += " e(v" + std::to_string(u) + ", v" + std::to_string(v) + ").";
+    }
+  }
+  ASSERT_NE(Reply(&server, load).find("OK LOAD"), std::string::npos);
+  for (const char* problem : {"3COL", "#3COL", "VC", "IS", "DS"}) {
+    std::string reply = Reply(&server, std::string("SOLVE k ") + problem);
+    EXPECT_EQ(reply.rfind("ERR E_ADMISSION ", 0), 0u) << reply;
+  }
+  EXPECT_EQ(Reply(&server, "SOLVEALL k").rfind("ERR E_ADMISSION ", 0), 0u);
+  ASSERT_NE(Reply(&server, kTriangleLoad).find("OK LOAD"), std::string::npos);
+  EXPECT_NE(Reply(&server, "SOLVE g VC").find("optimum=2"), std::string::npos);
+}
+
 // Relations wider than datalog::kMaxArity used to abort the whole process
 // from inside the FactStore; both routes in now end in a typed E_ARG, and
 // the server keeps serving.

@@ -24,23 +24,28 @@ struct UnitState {
 struct CountProblem {
   using State = UnitState;
   using Value = size_t;
-  using Emit = std::function<void(State, Value)>;
+  using Node = size_t;  // the bag size
 
-  void Leaf(const std::vector<ElementId>& bag, const Emit& emit) const {
-    emit(UnitState{bag.size()}, bag.size());
+  Node AtNode(const NormNode& node) const { return node.bag.size(); }
+
+  template <typename Emit>
+  void Leaf(Node size, const Emit& emit) const {
+    emit(UnitState{size}, size);
   }
-  void Introduce(const std::vector<ElementId>& bag, ElementId, const State&,
-                 const Value& value, const Emit& emit) const {
-    emit(UnitState{bag.size()}, value + 1);
+  template <typename Emit>
+  void Introduce(Node size, const State&, const Value& value,
+                 const Emit& emit) const {
+    emit(UnitState{size}, value + 1);
   }
-  void Forget(const std::vector<ElementId>& bag, ElementId, const State&,
-              const Value& value, const Emit& emit) const {
-    emit(UnitState{bag.size()}, value);
+  template <typename Emit>
+  void Forget(Node size, const State&, const Value& value,
+              const Emit& emit) const {
+    emit(UnitState{size}, value);
   }
-  UnitState KeyOf(const State& s) const { return s; }
-  void Join(const std::vector<ElementId>& bag, const State&, const Value& va,
-            const State&, const Value& vb, const Emit& emit) const {
-    emit(UnitState{bag.size()}, va + vb - bag.size());
+  template <typename Emit>
+  void Join(Node size, const State&, const Value& va, const State&,
+            const Value& vb, const Emit& emit) const {
+    emit(UnitState{size}, va + vb - size);
   }
   Value Merge(const Value& a, const Value& b) const {
     // Both derivations must agree for this deterministic problem.
