@@ -34,6 +34,7 @@
 #include <utility>
 
 #include "common/arena.hpp"
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 
 namespace treedl {
@@ -170,13 +171,7 @@ class FlatTable {
   // finalizer — probing uses the low bits; other states provide hash().
   static size_t HashOf(const State& state) {
     if constexpr (std::is_integral_v<State>) {
-      uint64_t x = static_cast<uint64_t>(state);
-      x ^= x >> 33;
-      x *= 0xff51afd7ed558ccdULL;
-      x ^= x >> 33;
-      x *= 0xc4ceb9fe1a85ec53ULL;
-      x ^= x >> 33;
-      return static_cast<size_t>(x);
+      return static_cast<size_t>(Mix64(static_cast<uint64_t>(state)));
     } else {
       return state.hash();
     }

@@ -9,6 +9,17 @@
 
 namespace treedl {
 
+/// The murmur3 64-bit finalizer: every input bit reaches every output bit,
+/// so the low bits that open-addressing tables probe with are well spread.
+inline uint64_t Mix64(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
 /// Mixes `value`'s hash into `seed` (boost::hash_combine recipe, 64-bit).
 template <typename T>
 void HashCombine(size_t* seed, const T& value) {

@@ -65,6 +65,14 @@ class Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
+  /// A ResourceExhausted that no retry can clear: the input exceeds a fixed
+  /// capacity of the engine (a packed DP state word, an MSO type bound),
+  /// unlike a budget or admission shed, which a later request may pass.
+  static Status CapacityExceeded(std::string msg) {
+    Status status(StatusCode::kResourceExhausted, std::move(msg));
+    status.capacity_exceeded_ = true;
+    return status;
+  }
   static Status ParseError(std::string msg) {
     return Status(StatusCode::kParseError, std::move(msg));
   }
@@ -75,17 +83,28 @@ class Status {
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
+  /// True for a CapacityExceeded status.
+  bool capacity_exceeded() const { return capacity_exceeded_; }
+
+  /// This status with `context` prepended to its message.
+  Status WithContext(const std::string& context) const {
+    Status status = *this;
+    status.message_ = context + message_;
+    return status;
+  }
 
   /// Renders as "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code_ == other.code_ && message_ == other.message_ &&
+           capacity_exceeded_ == other.capacity_exceeded_;
   }
 
  private:
   StatusCode code_;
   std::string message_;
+  bool capacity_exceeded_ = false;
 };
 
 std::ostream& operator<<(std::ostream& os, const Status& status);

@@ -8,6 +8,9 @@
 // over the same bag are equal iff their words are, and the word itself is the
 // FlatTable key.
 //
+// The primality DP (core/primality_internal.hpp) uses the same codec for its
+// derivation order, one 4-bit attribute rank per sequence position.
+//
 // Masks over bag positions ("field masks") use the same layout with only the
 // low bit of each position's field set; NodeMasks holds the ones a node's
 // transitions test against, computed once per node from the graph — no
@@ -31,12 +34,13 @@ namespace treedl::core {
 /// The widest bag a packed graph-DP state covers: 2 bits per position in 64.
 inline constexpr size_t kMaxBagPositions = 32;
 
-/// ResourceExhausted when some bag of `ntd` exceeds kMaxBagPositions — the
-/// graph DPs refuse such a decomposition before the walk starts.
+/// ResourceExhausted (a capacity error) when some bag of `ntd` exceeds
+/// kMaxBagPositions — the graph DPs refuse such a decomposition before the
+/// walk starts.
 inline Status CheckBagCapacity(const NormalizedTreeDecomposition& ntd) {
   size_t largest = static_cast<size_t>(ntd.Width() + 1);
   if (largest <= kMaxBagPositions) return Status::OK();
-  return Status::ResourceExhausted(
+  return Status::CapacityExceeded(
       "bag of " + std::to_string(largest) + " vertices exceeds the " +
       std::to_string(kMaxBagPositions) +
       "-position state word of the graph DPs");
@@ -44,11 +48,12 @@ inline Status CheckBagCapacity(const NormalizedTreeDecomposition& ntd) {
 
 template <unsigned kBits>
 struct BagCodec {
-  static_assert(kBits == 1 || kBits == 2);
+  static_assert(kBits == 1 || kBits == 2 || kBits == 4);
   static constexpr uint64_t kCode = (uint64_t{1} << kBits) - 1;
   /// The low bit of every position's field.
-  static constexpr uint64_t kLowBits =
-      kBits == 1 ? ~uint64_t{0} : 0x5555555555555555ULL;
+  static constexpr uint64_t kLowBits = kBits == 1   ? ~uint64_t{0}
+                                       : kBits == 2 ? 0x5555555555555555ULL
+                                                    : 0x1111111111111111ULL;
 
   /// Field mask of position `pos`.
   static constexpr uint64_t Bit(size_t pos) {

@@ -1,7 +1,5 @@
 #include "core/primality.hpp"
 
-#include <variant>
-
 #include "common/logging.hpp"
 #include "core/primality_internal.hpp"
 #include "engine/passes.hpp"
@@ -12,53 +10,7 @@ namespace treedl::core {
 namespace {
 
 using internal::PrimalityContext;
-using internal::PrimJoinKey;
-using internal::PrimState;
-
-// Adapter plugging PrimalityContext into the generic tree-DP driver. Its
-// per-node context is the node itself: the Fig. 6 rules read the bag and the
-// introduced or forgotten element.
-struct PrimalityProblem {
-  using State = PrimState;
-  using Value = std::monostate;
-  using Node = const NormNode*;
-
-  const PrimalityContext* context;
-
-  Node AtNode(const NormNode& node) const { return &node; }
-
-  template <typename Emit>
-  void Leaf(Node node, const Emit& emit) const {
-    context->LeafStates(node->bag,
-                        [&](PrimState s) { emit(std::move(s), {}); });
-  }
-  template <typename Emit>
-  void Introduce(Node node, const State& s, const Value&,
-                 const Emit& emit) const {
-    auto forward = [&](PrimState next) { emit(std::move(next), {}); };
-    if (context->IsAttr(node->element)) {
-      context->IntroduceAttr(node->bag, node->element, s, forward);
-    } else {
-      context->IntroduceFd(node->bag, node->element, s, forward);
-    }
-  }
-  template <typename Emit>
-  void Forget(Node node, const State& s, const Value&, const Emit& emit) const {
-    auto forward = [&](PrimState next) { emit(std::move(next), {}); };
-    if (context->IsAttr(node->element)) {
-      context->ForgetAttr(node->bag, node->element, s, forward);
-    } else {
-      context->ForgetFd(node->bag, node->element, s, forward);
-    }
-  }
-  PrimJoinKey KeyOf(const State& s) const { return context->KeyOf(s); }
-  template <typename Emit>
-  void Join(Node, const State& a, const Value&, const State& b, const Value&,
-            const Emit& emit) const {
-    context->Join(a, b, [&](PrimState next) { emit(std::move(next), {}); });
-  }
-  Value Merge(const Value& a, const Value&) const { return a; }
-};
+using internal::PrimalityProblem;
 
 /// Fig. 6 bottom-up DP over the prepared decomposition — validated,
 /// rhs-closed, re-rooted at a bag containing `a_elem`, normalized with
@@ -77,10 +29,8 @@ bool DecidePrimePrepared(const PrimalityContext& context,
         std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
   }
   const auto& bag = ntd.Bag(ntd.root());
-  for (const auto& [state, value] : table->at(ntd.root())) {
-    if (context.Accepts(bag, state, a_elem)) return true;
-  }
-  return false;
+  return context.Node(bag).AcceptsAny(table->at(ntd.root()),
+                                      PrimalityContext::AttrRank(bag, a_elem));
 }
 
 }  // namespace
@@ -107,6 +57,8 @@ StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding
       .Emplace<engine::NormalizePass>();
   TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
   if (stats != nullptr) ++stats->normalize_builds;
+  TREEDL_RETURN_IF_ERROR(internal::CheckPrimalityCapacity(
+      *state.normalized, encoding, /*enumerate_root=*/false));
 
   return DecidePrimePrepared(context, *state.normalized, a_elem, stats);
 }

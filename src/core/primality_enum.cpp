@@ -1,7 +1,6 @@
 #include "core/primality_enum.hpp"
 
 #include <atomic>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -18,21 +17,16 @@ namespace treedl::core {
 namespace {
 
 using internal::PrimalityContext;
+using internal::PrimalityProblem;
 using internal::PrimeUpTables;
-using internal::PrimJoinKey;
+using internal::PrimNode;
 using internal::PrimState;
 using internal::TableMemoryTracker;
 
 // Insertion-order iteration is deterministic — though the enumeration's
 // outputs (prime bits, set sizes) are order-independent anyway.
 using StateSet = internal::PrimStateSet;
-
-void Insert(StateSet* set, PrimState s) {
-  set->Emplace(std::move(s), std::monostate{},
-               [](const std::monostate& existing, const std::monostate&) {
-                 return existing;
-               });
-}
+using UpTable = DpTable<PrimState, std::monostate>;
 
 void ReleaseSet(StateSet* set, TableMemoryTracker* memory) {
   size_t bytes = set->MemoryBytes();
@@ -41,89 +35,27 @@ void ReleaseSet(StateSet* set, TableMemoryTracker* memory) {
   memory->Evict(bytes);
 }
 
-/// Joins every key-compatible pair of `left` x `right` (bucketing the right
-/// side) — the branch rule shared by both passes. Entry pointers stay valid
-/// while the completed right table is alive.
-void JoinInto(const PrimalityContext& context, const StateSet& left,
-              const StateSet& right, const PrimalityContext::EmitState& emit) {
-  std::unordered_map<PrimJoinKey, std::vector<const PrimState*>,
-                     MemberHash<PrimJoinKey>>
-      buckets;
-  for (const auto& entry : right) {
-    buckets[context.KeyOf(entry.first)].push_back(&entry.first);
-  }
-  for (const auto& [s, value] : left) {
-    (void)value;
-    auto it = buckets.find(context.KeyOf(s));
-    if (it == buckets.end()) continue;
-    for (const PrimState* r : it->second) context.Join(s, *r, emit);
-  }
-}
-
-/// One node of the bottom-up solve() pass, as in primality.cpp but keeping
-/// every node's table for the top-down pass.
-void BottomUpStep(const PrimalityContext& context,
-                  const NormalizedTreeDecomposition& ntd, TdNodeId id,
-                  std::vector<StateSet>* table) {
-  const NormNode& node = ntd.node(id);
-  StateSet& states = (*table)[static_cast<size_t>(id)];
-  auto emit = [&](PrimState s) { Insert(&states, std::move(s)); };
-  switch (node.kind) {
-    case NormNodeKind::kLeaf:
-      context.LeafStates(node.bag, emit);
-      break;
-    case NormNodeKind::kIntroduce:
-      for (const auto& [s, value] :
-           (*table)[static_cast<size_t>(node.children[0])]) {
-        (void)value;
-        if (context.IsAttr(node.element)) {
-          context.IntroduceAttr(node.bag, node.element, s, emit);
-        } else {
-          context.IntroduceFd(node.bag, node.element, s, emit);
-        }
-      }
-      break;
-    case NormNodeKind::kForget:
-      for (const auto& [s, value] :
-           (*table)[static_cast<size_t>(node.children[0])]) {
-        (void)value;
-        if (context.IsAttr(node.element)) {
-          context.ForgetAttr(node.bag, node.element, s, emit);
-        } else {
-          context.ForgetFd(node.bag, node.element, s, emit);
-        }
-      }
-      break;
-    case NormNodeKind::kCopy:
-      for (const auto& [s, value] :
-           (*table)[static_cast<size_t>(node.children[0])]) {
-        (void)value;
-        emit(s);
-      }
-      break;
-    case NormNodeKind::kBranch:
-      JoinInto(context, (*table)[static_cast<size_t>(node.children[0])],
-               (*table)[static_cast<size_t>(node.children[1])], emit);
-      break;
-  }
-}
-
 /// One node of the top-down solve↓() pass (§5.3): the state set of a node
 /// characterizes the *envelope* T̄_s. Formulated per node — "compute my own
 /// table from my parent's" — so a parents-first chunk of nodes is a valid
 /// schedule for both the sequential walk and the inverted shard schedule.
-/// Transitions invert the parent's kind; at a branch the sibling's bottom-up
-/// table joins in. `parent_down` is the parent's solve↓ table (null at the
-/// root); the result lands in `states`.
-void TopDownStep(const PrimalityContext& context,
+/// Transitions invert the parent's kind, over the larger of the two bags;
+/// at a branch the sibling's bottom-up table joins in. `parent_down` is the
+/// parent's solve↓ table (null at the root); the result lands in `states`.
+void TopDownStep(const PrimalityProblem& problem,
                  const NormalizedTreeDecomposition& ntd, TdNodeId x,
-                 const std::vector<StateSet>& up, const StateSet* parent_down,
+                 const UpTable& up, const StateSet* parent_down,
                  StateSet* states) {
-  auto emit = [&](PrimState s) { Insert(states, std::move(s)); };
+  auto emit = [states](const PrimState& s, std::monostate) {
+    states->Emplace(s, {}, [](std::monostate existing, std::monostate) {
+      return existing;
+    });
+  };
+  const PrimalityContext& context = *problem.context;
   if (x == ntd.root()) {
     // Base: the envelope of the root is the root node alone — the leaf rule
     // applied to the root's bag.
-    context.LeafStates(ntd.Bag(x), emit);
+    problem.Leaf(context.Node(ntd.Bag(x)), emit);
     return;
   }
   const NormNode& parent = ntd.node(ntd.node(x).parent);
@@ -132,41 +64,33 @@ void TopDownStep(const PrimalityContext& context,
       TREEDL_CHECK(false) << "leaf with children";
       break;
     case NormNodeKind::kCopy:
-      for (const auto& [s, value] : *parent_down) {
-        (void)value;
-        emit(s);
-      }
+      for (const auto& [s, value] : *parent_down) emit(s, value);
       break;
-    case NormNodeKind::kIntroduce:
+    case NormNodeKind::kIntroduce: {
       // Parent introduced e going up; going down the envelope forgets it —
       // e's occurrences all lie inside the envelope of the child.
+      const PrimNode node = context.Node(ntd.Bag(x), parent.element);
       for (const auto& [s, value] : *parent_down) {
-        (void)value;
-        if (context.IsAttr(parent.element)) {
-          context.ForgetAttr(ntd.Bag(x), parent.element, s, emit);
-        } else {
-          context.ForgetFd(ntd.Bag(x), parent.element, s, emit);
-        }
+        problem.Forget(node, s, value, emit);
       }
       break;
-    case NormNodeKind::kForget:
+    }
+    case NormNodeKind::kForget: {
       // Parent forgot e going up; going down the envelope introduces it
       // fresh (e occurs only below the child, so only at the child from the
       // envelope's perspective).
+      const PrimNode node = context.Node(ntd.Bag(x), parent.element);
       for (const auto& [s, value] : *parent_down) {
-        (void)value;
-        if (context.IsAttr(parent.element)) {
-          context.IntroduceAttr(ntd.Bag(x), parent.element, s, emit);
-        } else {
-          context.IntroduceFd(ntd.Bag(x), parent.element, s, emit);
-        }
+        problem.Introduce(node, s, value, emit);
       }
       break;
+    }
     case NormNodeKind::kBranch: {
       // T̄_child = T̄_parent ∪ T_sibling: join the parent's envelope states
       // with the sibling's subtree states.
       TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
-      JoinInto(context, *parent_down, up[static_cast<size_t>(sibling)], emit);
+      internal::JoinOnKeys(problem, context.Node(ntd.Bag(x)), *parent_down,
+                           up.at(sibling), emit);
       break;
     }
   }
@@ -184,16 +108,16 @@ void CountStates(const StateSet& states, DpStats* stats) {
 /// reader — branch children must survive for the top-down sibling joins.
 /// A tripped budget skips the per-node work but keeps walking the chunk, so
 /// the shard scheduling epilogue (and the caller's abort check) still run.
-void BottomUpChunk(const PrimalityContext& context,
+void BottomUpChunk(const PrimalityProblem& problem,
                    const NormalizedTreeDecomposition& ntd,
-                   const std::vector<TdNodeId>& nodes,
-                   std::vector<StateSet>* up, TableMemoryTracker* memory,
-                   bool evict, WorkBudget* budget, DpStats* stats) {
+                   const std::vector<TdNodeId>& nodes, UpTable* up,
+                   TableMemoryTracker* memory, bool evict, WorkBudget* budget,
+                   DpStats* stats) {
   for (TdNodeId id : nodes) {
     if (budget != nullptr && !budget->ConsumeUnit()) continue;
-    BottomUpStep(context, ntd, id, up);
-    CountStates((*up)[static_cast<size_t>(id)], stats);
-    memory->Add((*up)[static_cast<size_t>(id)].MemoryBytes());
+    internal::DpProcessNode(ntd, id, problem, up);
+    CountStates(up->at(id), stats);
+    memory->Add(up->at(id).MemoryBytes());
     if (budget != nullptr) {
       budget->CheckTableBytes(memory->current.load(std::memory_order_relaxed));
     }
@@ -201,7 +125,7 @@ void BottomUpChunk(const PrimalityContext& context,
       const NormNode& node = ntd.node(id);
       if (node.kind != NormNodeKind::kBranch) {
         for (TdNodeId child : node.children) {
-          ReleaseSet(&(*up)[static_cast<size_t>(child)], memory);
+          ReleaseSet(&up->nodes[static_cast<size_t>(child)], memory);
         }
       }
     }
@@ -215,10 +139,10 @@ void BottomUpChunk(const PrimalityContext& context,
 /// tables may be shared); (b) once every child of x's parent is processed
 /// (cross-shard atomic countdown), down[parent] is dead — leaves have no
 /// children, so the leaf tables the prime read-off needs survive.
-void TopDownChunk(const PrimalityContext& context,
+void TopDownChunk(const PrimalityProblem& problem,
                   const NormalizedTreeDecomposition& ntd,
-                  const std::vector<TdNodeId>& nodes,
-                  std::vector<StateSet>* up, std::vector<StateSet>* down,
+                  const std::vector<TdNodeId>& nodes, UpTable* up,
+                  std::vector<StateSet>* down,
                   TableMemoryTracker* memory, bool evict, bool evict_up,
                   WorkBudget* budget,
                   std::vector<std::atomic<size_t>>* down_pending,
@@ -226,7 +150,7 @@ void TopDownChunk(const PrimalityContext& context,
   for (TdNodeId x : nodes) {
     if (budget != nullptr && !budget->ConsumeUnit()) continue;
     TdNodeId parent_id = ntd.node(x).parent;
-    TopDownStep(context, ntd, x, *up,
+    TopDownStep(problem, ntd, x, *up,
                 x == ntd.root() ? nullptr
                                 : &(*down)[static_cast<size_t>(parent_id)],
                 &(*down)[static_cast<size_t>(x)]);
@@ -238,13 +162,13 @@ void TopDownChunk(const PrimalityContext& context,
     if (!evict) continue;
     if (x == ntd.root()) {
       // Nothing reads the root's bottom-up table after its pass completed.
-      if (evict_up) ReleaseSet(&(*up)[static_cast<size_t>(x)], memory);
+      if (evict_up) ReleaseSet(&up->nodes[static_cast<size_t>(x)], memory);
       continue;
     }
     const NormNode& parent = ntd.node(parent_id);
     if (evict_up && parent.kind == NormNodeKind::kBranch) {
       TdNodeId sibling = parent.children[parent.children[0] == x ? 1 : 0];
-      ReleaseSet(&(*up)[static_cast<size_t>(sibling)], memory);
+      ReleaseSet(&up->nodes[static_cast<size_t>(sibling)], memory);
     }
     if ((*down_pending)[static_cast<size_t>(parent_id)].fetch_sub(
             1, std::memory_order_acq_rel) == 1) {
@@ -305,7 +229,8 @@ std::unique_ptr<PrimeUpTables> BuildPrimeUpTables(
     const NormalizedTreeDecomposition& ntd, const DpExec& exec,
     RunStats* stats) {
   auto tables = std::make_unique<PrimeUpTables>();
-  tables->up.resize(ntd.NumNodes());
+  tables->up.nodes.resize(ntd.NumNodes());
+  const PrimalityProblem problem{&context};
   DpStats dp;
   TableMemoryTracker memory;
   const bool evict = exec.table_memory_budget > 0;
@@ -314,12 +239,12 @@ std::unique_ptr<PrimeUpTables> BuildPrimeUpTables(
     RunShardedWalk(
         exec,
         [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-          BottomUpChunk(context, ntd, nodes, &tables->up, &memory, evict,
+          BottomUpChunk(problem, ntd, nodes, &tables->up, &memory, evict,
                         exec.budget, local);
         },
         &dp, WalkDirection::kBottomUp);
   } else {
-    BottomUpChunk(context, ntd, ntd.PostOrder(), &tables->up, &memory, evict,
+    BottomUpChunk(problem, ntd, ntd.PostOrder(), &tables->up, &memory, evict,
                   exec.budget, &dp);
   }
   memory.FoldInto(&dp);
@@ -351,7 +276,7 @@ StatusOr<bool> DecidePrimeOnPath(const PrimalityContext& context,
   StateSet states;
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
     states = StateSet();
-    TopDownStep(context, ntd, *it, tables.up,
+    TopDownStep(PrimalityProblem{&context}, ntd, *it, tables.up,
                 *it == ntd.root() ? nullptr : &parent_down, &states);
     CountStates(states, &dp);
     std::swap(parent_down, states);
@@ -362,12 +287,8 @@ StatusOr<bool> DecidePrimeOnPath(const PrimalityContext& context,
         std::max(stats->dp_max_states_per_node, dp.max_states_per_node);
   }
   const auto& bag = ntd.Bag(leaf);
-  ElementId a_elem = encoding.AttrElement(a);
-  for (const auto& [s, value] : parent_down) {
-    (void)value;
-    if (context.Accepts(bag, s, a_elem)) return true;
-  }
-  return false;
+  return context.Node(bag).AcceptsAny(
+      parent_down, PrimalityContext::AttrRank(bag, encoding.AttrElement(a)));
 }
 
 std::vector<bool> EnumeratePrimesTopDown(const PrimalityContext& context,
@@ -379,8 +300,9 @@ std::vector<bool> EnumeratePrimesTopDown(const PrimalityContext& context,
                                          const DpExec& exec) {
   DpStats dp;
   size_t num_nodes = ntd.NumNodes();
-  std::vector<StateSet>& up = tables->up;
+  UpTable& up = tables->up;
   std::vector<StateSet> down(num_nodes);
+  const PrimalityProblem problem{&context};
   // Live bytes carry over from the bottom-up pass, so the peak covers the
   // tables both passes hold at once.
   TableMemoryTracker memory;
@@ -402,14 +324,14 @@ std::vector<bool> EnumeratePrimesTopDown(const PrimalityContext& context,
     RunShardedWalk(
         exec,
         [&](const std::vector<TdNodeId>& nodes, DpStats* local) {
-          TopDownChunk(context, ntd, nodes, &up, &down, &memory, evict,
+          TopDownChunk(problem, ntd, nodes, &up, &down, &memory, evict,
                        evict_up, exec.budget, &down_pending, local);
         },
         &dp, WalkDirection::kTopDown);
   } else {
     std::vector<TdNodeId> post = ntd.PostOrder();
     std::vector<TdNodeId> pre(post.rbegin(), post.rend());
-    TopDownChunk(context, ntd, pre, &up, &down, &memory, evict, evict_up,
+    TopDownChunk(problem, ntd, pre, &up, &down, &memory, evict, evict_up,
                  exec.budget, &down_pending, &dp);
   }
   memory.FoldInto(&dp);
@@ -427,16 +349,13 @@ std::vector<bool> EnumeratePrimesTopDown(const PrimalityContext& context,
   for (TdNodeId id : ntd.PreOrder()) {
     if (ntd.node(id).kind != NormNodeKind::kLeaf) continue;
     const auto& bag = ntd.Bag(id);
-    for (ElementId e : bag) {
-      if (!context.IsAttr(e)) continue;
-      AttributeId a = encoding.AttrOf(e);
-      if (primes[static_cast<size_t>(a)]) continue;
-      for (const auto& [s, value] : down[static_cast<size_t>(id)]) {
-        (void)value;
-        if (context.Accepts(bag, s, e)) {
-          primes[static_cast<size_t>(a)] = true;
-          break;
-        }
+    const PrimNode node = context.Node(bag);
+    // A bag lists its attributes first: attribute rank r is bag[r].
+    for (uint32_t r = 0; r < node.num_attrs; ++r) {
+      AttributeId a = encoding.AttrOf(bag[r]);
+      if (!primes[static_cast<size_t>(a)]) {
+        primes[static_cast<size_t>(a)] =
+            node.AcceptsAny(down[static_cast<size_t>(id)], r);
       }
     }
   }
@@ -462,6 +381,8 @@ StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
       .Emplace<engine::NormalizePass>();
   TREEDL_RETURN_IF_ERROR(pipeline.Run(state, stats));
   if (stats != nullptr) ++stats->normalize_builds;
+  TREEDL_RETURN_IF_ERROR(internal::CheckPrimalityCapacity(
+      *state.normalized, encoding, /*enumerate_root=*/true));
 
   std::unique_ptr<internal::PrimeUpTables> tables =
       internal::BuildPrimeUpTables(context, encoding, *state.normalized, {},

@@ -1,38 +1,12 @@
 #include "core/primality_internal.hpp"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/logging.hpp"
 
 namespace treedl::core::internal {
-
-namespace {
-
-bool SortedContains(const std::vector<ElementId>& v, ElementId e) {
-  return std::binary_search(v.begin(), v.end(), e);
-}
-
-std::vector<ElementId> SortedInsert(std::vector<ElementId> v, ElementId e) {
-  v.insert(std::lower_bound(v.begin(), v.end(), e), e);
-  return v;
-}
-
-std::vector<ElementId> SortedRemove(std::vector<ElementId> v, ElementId e) {
-  auto it = std::lower_bound(v.begin(), v.end(), e);
-  TREEDL_DCHECK(it != v.end() && *it == e);
-  v.erase(it);
-  return v;
-}
-
-// Position of e in the ordered sequence co; -1 if absent.
-int CoPosition(const std::vector<ElementId>& co, ElementId e) {
-  for (size_t i = 0; i < co.size(); ++i) {
-    if (co[i] == e) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-}  // namespace
 
 PrimalityContext::PrimalityContext(const Schema& schema,
                                    const SchemaEncoding& encoding)
@@ -50,255 +24,94 @@ PrimalityContext::PrimalityContext(const Schema& schema,
   }
 }
 
-std::vector<ElementId> PrimalityContext::Outside(
-    const std::vector<ElementId>& bag, const std::vector<ElementId>& y) const {
-  std::vector<ElementId> out;
+PrimNode PrimalityContext::Node(const std::vector<ElementId>& bag,
+                                ElementId moved) const {
+  // bag ∪ {moved} in sorted order: the attributes, then the FDs.
+  ElementId attrs[kMaxPrimAttrs];
+  ElementId fds[kMaxPrimFds];
+  PrimNode node;
+  auto add = [&](ElementId e) {
+    if (IsAttr(e)) {
+      TREEDL_CHECK(node.num_attrs < kMaxPrimAttrs);
+      attrs[node.num_attrs++] = e;
+    } else {
+      TREEDL_CHECK(node.num_fds < kMaxPrimFds);
+      fds[node.num_fds++] = e;
+    }
+  };
+  bool pending = moved != kNoMove &&
+                 !std::binary_search(bag.begin(), bag.end(), moved);
   for (ElementId e : bag) {
-    if (!IsFd(e)) continue;
-    if (SortedContains(y, RhsElem(e))) continue;  // rhs ∈ Y
-    bool witnessed = false;
-    for (ElementId b : LhsElems(e)) {
-      if (SortedContains(bag, b) && !SortedContains(y, b)) {
-        witnessed = true;
-        break;
+    if (pending && moved < e) {
+      add(moved);
+      pending = false;
+    }
+    add(e);
+  }
+  if (pending) add(moved);
+
+  const ElementId* attrs_begin = attrs;
+  const ElementId* attrs_end = attrs + node.num_attrs;
+  auto attr_bit = [&](ElementId a) -> uint32_t {
+    const ElementId* it = std::lower_bound(attrs_begin, attrs_end, a);
+    return it != attrs_end && *it == a ? uint32_t{1} << (it - attrs) : 0;
+  };
+  for (uint32_t j = 0; j < node.num_fds; ++j) {
+    node.rhs_bit[j] = attr_bit(RhsElem(fds[j]));
+    for (ElementId b : LhsElems(fds[j])) node.lhs[j] |= attr_bit(b);
+  }
+  if (moved != kNoMove) {
+    node.moved_attr = IsAttr(moved);
+    if (node.moved_attr) {
+      node.rank = static_cast<uint32_t>(
+          std::lower_bound(attrs_begin, attrs_end, moved) - attrs);
+      for (uint32_t j = 0; j < node.num_fds; ++j) {
+        if ((node.lhs[j] >> node.rank) & 1) node.lhs_of_moved |= uint32_t{1} << j;
       }
-    }
-    if (witnessed) out.push_back(e);
-  }
-  return out;  // sorted: bag iteration order is sorted
-}
-
-void PrimalityContext::LeafStates(const std::vector<ElementId>& bag,
-                                  const EmitState& emit) const {
-  std::vector<ElementId> attrs, fds;
-  for (ElementId e : bag) {
-    (IsAttr(e) ? attrs : fds).push_back(e);
-  }
-  size_t na = attrs.size();
-  TREEDL_CHECK(na <= 10) << "bag too large for leaf enumeration";
-  for (uint64_t ymask = 0; ymask < (uint64_t{1} << na); ++ymask) {
-    std::vector<ElementId> y, rest;
-    for (size_t i = 0; i < na; ++i) {
-      ((ymask >> i) & 1 ? y : rest).push_back(attrs[i]);
-    }
-    // All derivation orders of the non-Y attributes.
-    std::sort(rest.begin(), rest.end());
-    std::vector<ElementId> co = rest;
-    do {
-      // Candidate used-FDs: bag FDs whose rhs lies in Co.
-      std::vector<ElementId> candidates;
-      for (ElementId f : fds) {
-        if (CoPosition(co, RhsElem(f)) >= 0) candidates.push_back(f);
-      }
-      for (uint64_t fcmask = 0; fcmask < (uint64_t{1} << candidates.size());
-           ++fcmask) {
-        std::vector<ElementId> fc, dc;
-        bool ok = true;
-        for (size_t j = 0; j < candidates.size() && ok; ++j) {
-          if (!((fcmask >> j) & 1)) continue;
-          ElementId f = candidates[j];
-          ElementId rhs = RhsElem(f);
-          // Pairwise distinct rhs (ΔC is a disjoint union of rhs's).
-          if (SortedContains(dc, rhs)) {
-            ok = false;
-            break;
-          }
-          // consistent(FC, Co): lhs attributes in Co precede the rhs.
-          int rhs_pos = CoPosition(co, rhs);
-          for (ElementId b : LhsElems(f)) {
-            int b_pos = CoPosition(co, b);
-            if (b_pos >= 0 && b_pos >= rhs_pos) {
-              ok = false;
-              break;
-            }
-          }
-          if (!ok) break;
-          fc = SortedInsert(std::move(fc), f);
-          dc = SortedInsert(std::move(dc), rhs);
-        }
-        if (!ok) continue;
-        PrimState s;
-        s.y = y;
-        s.co = co;
-        s.fy = Outside(bag, y);
-        s.dc = std::move(dc);
-        s.fc = std::move(fc);
-        emit(std::move(s));
-      }
-    } while (std::next_permutation(co.begin(), co.end()));
-  }
-}
-
-void PrimalityContext::IntroduceAttr(const std::vector<ElementId>& bag,
-                                     ElementId b, const PrimState& s,
-                                     const EmitState& emit) const {
-  TREEDL_DCHECK(IsAttr(b));
-  // Rule 1: b joins Y.
-  {
-    PrimState next = s;
-    next.y = SortedInsert(next.y, b);
-    emit(std::move(next));
-  }
-  // Rule 2: b is inserted at every position of Co; the used FDs must stay
-  // consistent with the extended order, and the outside-witnesses are
-  // refreshed (b ∉ Y may witness additional FDs).
-  for (size_t pos = 0; pos <= s.co.size(); ++pos) {
-    PrimState next = s;
-    next.co.insert(next.co.begin() + static_cast<long>(pos), b);
-    bool ok = true;
-    for (ElementId f : next.fc) {
-      if (!SortedContains(LhsElems(f), b)) continue;
-      int rhs_pos = CoPosition(next.co, RhsElem(f));
-      TREEDL_DCHECK(rhs_pos >= 0);
-      if (static_cast<int>(pos) >= rhs_pos) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    std::vector<ElementId> outside = Outside(bag, next.y);
-    std::vector<ElementId> fy;
-    std::set_union(next.fy.begin(), next.fy.end(), outside.begin(),
-                   outside.end(), std::back_inserter(fy));
-    next.fy = std::move(fy);
-    emit(std::move(next));
-  }
-}
-
-void PrimalityContext::IntroduceFd(const std::vector<ElementId>& bag,
-                                   ElementId f, const PrimState& s,
-                                   const EmitState& emit) const {
-  TREEDL_DCHECK(IsFd(f));
-  ElementId rhs = RhsElem(f);
-  TREEDL_DCHECK(SortedContains(bag, rhs))
-      << "rhs-closure invariant violated at FD introduction";
-  if (SortedContains(s.y, rhs)) {
-    // Rule 1: rhs ∈ Y — nothing to track.
-    emit(s);
-    return;
-  }
-  int rhs_pos = CoPosition(s.co, rhs);
-  TREEDL_DCHECK(rhs_pos >= 0);
-  // Is f locally witnessed not to contradict closedness (some bag lhs-attr
-  // outside Y)?
-  bool witnessed = false;
-  for (ElementId b : LhsElems(f)) {
-    if (SortedContains(bag, b) && !SortedContains(s.y, b)) {
-      witnessed = true;
-      break;
+    } else {
+      node.rank = static_cast<uint32_t>(
+          std::lower_bound(fds, fds + node.num_fds, moved) - fds);
     }
   }
-  // Rule 3: f is not used in the derivation.
-  {
-    PrimState next = s;
-    if (witnessed) next.fy = SortedInsert(next.fy, f);
-    emit(std::move(next));
-  }
-  // Rule 2: f derives rhs — requires a fresh ΔC slot and order consistency.
-  if (!SortedContains(s.dc, rhs)) {
-    bool consistent = true;
-    for (ElementId b : LhsElems(f)) {
-      int b_pos = CoPosition(s.co, b);
-      if (b_pos >= 0 && b_pos >= rhs_pos) {
-        consistent = false;
-        break;
-      }
+  return node;
+}
+
+Status CheckPrimalityCapacity(const NormalizedTreeDecomposition& ntd,
+                              const SchemaEncoding& encoding,
+                              bool enumerate_root) {
+  auto refuse = [](size_t count, const char* what, uint32_t limit,
+                   const char* bound) {
+    return Status::CapacityExceeded(
+        "bag of " + std::to_string(count) + " " + what + " exceeds the " +
+        std::to_string(limit) + " " + what + " of the primality " + bound);
+  };
+  for (size_t id = 0; id < ntd.NumNodes(); ++id) {
+    const NormNode& node = ntd.node(static_cast<TdNodeId>(id));
+    // A bag lists its attributes first.
+    size_t attrs = static_cast<size_t>(
+        std::lower_bound(node.bag.begin(), node.bag.end(),
+                         static_cast<ElementId>(encoding.num_attributes)) -
+        node.bag.begin());
+    size_t fds = node.bag.size() - attrs;
+    if (attrs > kMaxPrimAttrs) {
+      return refuse(attrs, "attributes", kMaxPrimAttrs, "state word");
     }
-    if (consistent) {
-      PrimState next = s;
-      next.fc = SortedInsert(next.fc, f);
-      next.dc = SortedInsert(next.dc, rhs);
-      if (witnessed) next.fy = SortedInsert(next.fy, f);
-      emit(std::move(next));
+    if (fds > kMaxPrimFds) return refuse(fds, "FDs", kMaxPrimFds, "state word");
+    bool enumerated =
+        node.kind == NormNodeKind::kLeaf ||
+        (enumerate_root && static_cast<TdNodeId>(id) == ntd.root());
+    if (enumerated && attrs > kMaxLeafAttrs) {
+      return refuse(attrs, "attributes", kMaxLeafAttrs, "leaf rule");
     }
   }
-}
-
-void PrimalityContext::ForgetAttr(const std::vector<ElementId>& /*bag*/,
-                                  ElementId b, const PrimState& s,
-                                  const EmitState& emit) const {
-  TREEDL_DCHECK(IsAttr(b));
-  if (SortedContains(s.y, b)) {
-    PrimState next = s;
-    next.y = SortedRemove(next.y, b);
-    emit(std::move(next));
-    return;
-  }
-  // b ∈ Co: its derivation must have been established (b ∈ ΔC).
-  if (!SortedContains(s.dc, b)) return;
-  PrimState next = s;
-  next.dc = SortedRemove(next.dc, b);
-  int pos = CoPosition(next.co, b);
-  TREEDL_DCHECK(pos >= 0);
-  next.co.erase(next.co.begin() + pos);
-  emit(std::move(next));
-}
-
-void PrimalityContext::ForgetFd(const std::vector<ElementId>& /*bag*/,
-                                ElementId f, const PrimState& s,
-                                const EmitState& emit) const {
-  TREEDL_DCHECK(IsFd(f));
-  ElementId rhs = RhsElem(f);
-  if (SortedContains(s.y, rhs)) {
-    TREEDL_DCHECK(!SortedContains(s.fy, f));
-    TREEDL_DCHECK(!SortedContains(s.fc, f));
-    emit(s);
-    return;
-  }
-  // rhs ∈ Co: f must have been witnessed (f ∈ FY) — otherwise it would
-  // contradict the closedness of Y.
-  if (!SortedContains(s.fy, f)) return;
-  PrimState next = s;
-  next.fy = SortedRemove(next.fy, f);
-  if (SortedContains(next.fc, f)) next.fc = SortedRemove(next.fc, f);
-  emit(std::move(next));
-}
-
-void PrimalityContext::Join(const PrimState& a, const PrimState& b,
-                            const EmitState& emit) const {
-  TREEDL_DCHECK(a.y == b.y && a.co == b.co && a.fc == b.fc);
-  // unique(ΔC1, ΔC2, FC): an attribute derived in both subtrees must owe its
-  // derivation to a shared (bag) FD.
-  std::vector<ElementId> shared;
-  std::set_intersection(a.dc.begin(), a.dc.end(), b.dc.begin(), b.dc.end(),
-                        std::back_inserter(shared));
-  std::vector<ElementId> fc_rhs;
-  for (ElementId f : a.fc) fc_rhs.push_back(RhsElem(f));
-  std::sort(fc_rhs.begin(), fc_rhs.end());
-  if (shared != fc_rhs) return;
-  PrimState next;
-  next.y = a.y;
-  next.co = a.co;
-  next.fc = a.fc;
-  std::set_union(a.fy.begin(), a.fy.end(), b.fy.begin(), b.fy.end(),
-                 std::back_inserter(next.fy));
-  std::set_union(a.dc.begin(), a.dc.end(), b.dc.begin(), b.dc.end(),
-                 std::back_inserter(next.dc));
-  emit(std::move(next));
-}
-
-bool PrimalityContext::Accepts(const std::vector<ElementId>& bag,
-                               const PrimState& s, ElementId query_attr) const {
-  if (SortedContains(s.y, query_attr)) return false;
-  if (CoPosition(s.co, query_attr) < 0) return false;  // not even in the bag
-  // FY must contain *every* bag FD with rhs outside Y.
-  std::vector<ElementId> required;
-  for (ElementId e : bag) {
-    if (IsFd(e) && !SortedContains(s.y, RhsElem(e))) required.push_back(e);
-  }
-  if (s.fy != required) return false;
-  // ΔC = Co \ {query_attr}.
-  std::vector<ElementId> co_sorted = s.co;
-  std::sort(co_sorted.begin(), co_sorted.end());
-  co_sorted = SortedRemove(std::move(co_sorted), query_attr);
-  return s.dc == co_sorted;
+  return Status::OK();
 }
 
 TreeDecomposition CloseBagsForRhs(const TreeDecomposition& td,
                                   const SchemaEncoding& encoding,
                                   const PrimalityContext& context) {
   TreeDecomposition out;
-  std::unordered_map<TdNodeId, TdNodeId> translate;
+  std::vector<TdNodeId> translate(td.NumNodes(), kNoTdNode);
   for (TdNodeId id : td.PreOrder()) {
     std::vector<ElementId> bag = td.Bag(id);
     std::vector<ElementId> extra;
@@ -307,8 +120,10 @@ TreeDecomposition CloseBagsForRhs(const TreeDecomposition& td,
     }
     bag.insert(bag.end(), extra.begin(), extra.end());
     TdNodeId parent = td.node(id).parent;
-    TdNodeId new_parent = parent == kNoTdNode ? kNoTdNode : translate.at(parent);
-    translate[id] = out.AddNode(std::move(bag), new_parent);
+    TdNodeId new_parent = parent == kNoTdNode
+                              ? kNoTdNode
+                              : translate[static_cast<size_t>(parent)];
+    translate[static_cast<size_t>(id)] = out.AddNode(std::move(bag), new_parent);
   }
   return out;
 }

@@ -273,11 +273,15 @@ StatusOr<const NormalizedTreeDecomposition*> Engine::EnsureEnumNtd(
   }
   TREEDL_RETURN_IF_ERROR(
       pipeline.Run(state, options_.collect_pass_timings ? stats : nullptr));
+  ++stats->normalize_builds;
+  // A normal form beyond the packed primality state is refused before any
+  // walk, and not cached: every later call refuses it the same way.
+  TREEDL_RETURN_IF_ERROR(core::internal::CheckPrimalityCapacity(
+      *state.normalized, *encoding_, /*enumerate_root=*/true));
   enum_ntd_ = *std::move(state.normalized);
   if (state.sharding.has_value()) {
     enum_sharding_ = *std::move(state.sharding);
   }
-  ++stats->normalize_builds;
   return &*enum_ntd_;
 }
 

@@ -75,8 +75,7 @@ class PassPipeline {
       Timer timer;
       Status status = pass->apply(state);
       if (!status.ok()) {
-        return Status(status.code(),
-                      "pass '" + pass->name() + "': " + status.message());
+        return status.WithContext("pass '" + pass->name() + "': ");
       }
       if (stats != nullptr) {
         stats->passes.push_back(PassTiming{pass->name(), timer.ElapsedMillis()});

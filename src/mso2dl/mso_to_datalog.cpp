@@ -193,7 +193,7 @@ class Builder {
   /// whose bag-facts follow `pattern`'s position-0 atoms.
   StatusOr<Witness> ReplaceWitness(const Witness& base, uint64_t pattern) const {
     if (base.a.NumElements() + 1 > options_.max_witness_elements) {
-      return Status::ResourceExhausted(
+      return Status::CapacityExceeded(
           "witness structure exceeded max_witness_elements (" +
           std::to_string(options_.max_witness_elements) +
           "); the generic construction hit its exponential wall");
@@ -214,7 +214,7 @@ class Builder {
     size_t merged_size =
         left.a.NumElements() + right.a.NumElements() - left.bag.size();
     if (merged_size > options_.max_witness_elements) {
-      return Status::ResourceExhausted(
+      return Status::CapacityExceeded(
           "witness structure exceeded max_witness_elements (" +
           std::to_string(options_.max_witness_elements) +
           "); the generic construction hit its exponential wall");
@@ -301,7 +301,7 @@ class Builder {
     auto it = index.find(type);
     if (it != index.end()) return std::make_pair(it->second, false);
     if (entries.size() >= options_.max_types) {
-      return Status::ResourceExhausted("type saturation exceeded max_types = " +
+      return Status::CapacityExceeded("type saturation exceeded max_types = " +
                                        std::to_string(options_.max_types));
     }
     std::string name = (up ? "up" : "down") + std::to_string(entries.size());

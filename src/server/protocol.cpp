@@ -296,7 +296,10 @@ ErrorCode ErrorCodeFor(const Status& status) {
     case StatusCode::kInvalidArgument:
       return ErrorCode::kBadArgument;
     case StatusCode::kResourceExhausted:
-      return ErrorCode::kAdmission;
+      // A fixed capacity of the engine fails the same way on every retry;
+      // pool rejections and table-budget sheds may pass a later attempt.
+      return status.capacity_exceeded() ? ErrorCode::kEval
+                                        : ErrorCode::kAdmission;
     case StatusCode::kDeadlineExceeded:
       return ErrorCode::kDeadline;
     default:

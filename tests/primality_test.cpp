@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/primality.hpp"
 #include "core/primality_enum.hpp"
 #include "engine/engine.hpp"
@@ -194,6 +197,105 @@ TEST(PrimalityTest, EngineIsPrimeMatchesSection52Route) {
       }
     }
   }
+}
+
+// A schema of `n` attributes with the one FD a0 .. a(n-2) -> a(n-1).
+Schema OneFdSchema(int n) {
+  Schema schema;
+  std::vector<AttributeId> lhs;
+  for (int i = 0; i < n; ++i) {
+    AttributeId a = schema.AddAttribute("a" + std::to_string(i));
+    if (i + 1 < n) lhs.push_back(a);
+  }
+  EXPECT_TRUE(schema.AddFd(lhs, n - 1).ok());
+  return schema;
+}
+
+// The caller-supplied decomposition with one bag holding every element of the
+// encoding: the leaf rule enumerates every ordered partition of its
+// attributes.
+TreeDecomposition OneBagTd(const SchemaEncoding& encoding) {
+  std::vector<ElementId> bag;
+  for (ElementId e = 0; e < encoding.structure.NumElements(); ++e) {
+    bag.push_back(e);
+  }
+  TreeDecomposition td;
+  td.AddNode(std::move(bag));
+  return td;
+}
+
+void ExpectCapacityError(const Status& status, const std::string& what) {
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  EXPECT_TRUE(status.capacity_exceeded()) << status;
+  EXPECT_NE(status.message().find(what), std::string::npos) << status;
+}
+
+TEST(PrimalityTest, OneBagBeyondCapacityIsResourceExhausted) {
+  // 11 attributes in the one leaf: one more than the leaf rule enumerates.
+  // This used to abort the process from inside the leaf rule.
+  Schema wide = OneFdSchema(11);
+  SchemaEncoding wide_encoding = EncodeSchema(wide);
+  TreeDecomposition wide_td = OneBagTd(wide_encoding);
+  auto decided = IsPrimeViaTd(wide, wide_encoding, wide_td, 0);
+  ASSERT_FALSE(decided.ok());
+  ExpectCapacityError(decided.status(), "primality leaf rule");
+  auto enumerated = EnumeratePrimes(wide, wide_encoding, wide_td);
+  ASSERT_FALSE(enumerated.ok());
+  ExpectCapacityError(enumerated.status(), "primality leaf rule");
+
+  // 17 attributes do not fit the packed state word at all.
+  Schema huge = OneFdSchema(17);
+  SchemaEncoding huge_encoding = EncodeSchema(huge);
+  auto refused =
+      EnumeratePrimes(huge, huge_encoding, OneBagTd(huge_encoding));
+  ASSERT_FALSE(refused.ok());
+  ExpectCapacityError(refused.status(), "17 attributes exceeds the 16");
+
+  // A one-bag decomposition within the limits is answered.
+  Schema small = OneFdSchema(6);
+  SchemaEncoding small_encoding = EncodeSchema(small);
+  TreeDecomposition small_td = OneBagTd(small_encoding);
+  auto primes = EnumeratePrimes(small, small_encoding, small_td);
+  ASSERT_TRUE(primes.ok()) << primes.status();
+  EXPECT_EQ(*primes, AllPrimesBruteForce(small));
+  for (AttributeId a = 0; a < 6; ++a) {
+    auto prime = IsPrimeViaTd(small, small_encoding, small_td, a);
+    ASSERT_TRUE(prime.ok()) << prime.status();
+    EXPECT_EQ(*prime, (*primes)[static_cast<size_t>(a)]) << a;
+  }
+}
+
+TEST(PrimalityTest, EngineRefusesBagsBeyondCapacityAndStaysUsable) {
+  Schema wide = OneFdSchema(11);
+  EngineOptions options;
+  options.decomposition = OneBagTd(EncodeSchema(wide));
+  Engine engine(wide, options);
+  // Refused before any walk, and not cached: a retry is refused the same way.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    RunStats stats;
+    auto prime = engine.IsPrime(0, &stats);
+    ASSERT_FALSE(prime.ok());
+    ExpectCapacityError(prime.status(), "primality leaf rule");
+    EXPECT_EQ(stats.dp_traversals, 0u);
+    EXPECT_EQ(stats.dp_states, 0u);
+    auto all = engine.AllPrimes(&stats);
+    ASSERT_FALSE(all.ok());
+    ExpectCapacityError(all.status(), "primality leaf rule");
+    EXPECT_EQ(stats.dp_traversals, 0u);
+  }
+  // The session still works: REOPT swaps in a narrow decomposition (the
+  // schema's incidence graph is a star), and the same engine answers.
+  auto improved = engine.ImproveDecomposition();
+  ASSERT_TRUE(improved.ok()) << improved.status();
+  EXPECT_TRUE(improved->improved);
+  EXPECT_LT(improved->width_after, improved->width_before);
+  const std::vector<bool> oracle = AllPrimesBruteForce(wide);
+  auto prime = engine.IsPrime(10);
+  ASSERT_TRUE(prime.ok()) << prime.status();
+  EXPECT_EQ(*prime, oracle[10]);
+  auto all = engine.AllPrimes();
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(*all, oracle);
 }
 
 TEST(PrimalityTest, RejectsBadInputs) {

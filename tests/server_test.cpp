@@ -164,7 +164,8 @@ TEST(ServerTest, TenantAndArgumentErrors) {
 
 // A tenant whose decomposition has a bag wider than a packed graph-DP state
 // (K33: one bag of 33) gets a typed ERR for every graph problem instead of a
-// request that never returns, and the server keeps serving.
+// request that never returns — E_EVAL, since no retry can pass a fixed
+// capacity — and the server keeps serving.
 TEST(ServerTest, SolveBeyondStateWordCapacityIsAnError) {
   Server server(QuietOptions());
   std::string load = "LOAD k SIG e/2 FACTS";
@@ -176,10 +177,24 @@ TEST(ServerTest, SolveBeyondStateWordCapacityIsAnError) {
   ASSERT_NE(Reply(&server, load).find("OK LOAD"), std::string::npos);
   for (const char* problem : {"3COL", "#3COL", "VC", "IS", "DS"}) {
     std::string reply = Reply(&server, std::string("SOLVE k ") + problem);
-    EXPECT_EQ(reply.rfind("ERR E_ADMISSION ", 0), 0u) << reply;
+    EXPECT_EQ(reply.rfind("ERR E_EVAL ", 0), 0u) << reply;
   }
-  EXPECT_EQ(Reply(&server, "SOLVEALL k").rfind("ERR E_ADMISSION ", 0), 0u);
+  EXPECT_EQ(Reply(&server, "SOLVEALL k").rfind("ERR E_EVAL ", 0), 0u);
   ASSERT_NE(Reply(&server, kTriangleLoad).find("OK LOAD"), std::string::npos);
+  EXPECT_NE(Reply(&server, "SOLVE g VC").find("optimum=2"), std::string::npos);
+}
+
+// A Thm 4.5 compile that saturates max_types fails the same way on every
+// retry: an E_EVAL, not an admission shed, and the server keeps serving.
+TEST(ServerTest, MsoCompileSaturationIsAnEvalError) {
+  Server server(QuietOptions());
+  ASSERT_NE(Reply(&server, kTriangleLoad).find("OK LOAD"), std::string::npos);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    std::string reply = Reply(&server, "MSO g ex1 x: e(x, x)");
+    EXPECT_EQ(reply.rfind("ERR E_EVAL type saturation exceeded max_types", 0),
+              0u)
+        << reply;
+  }
   EXPECT_NE(Reply(&server, "SOLVE g VC").find("optimum=2"), std::string::npos);
 }
 
