@@ -2,7 +2,8 @@
 //
 // Replaces std::unordered_map<State, Value> as the per-bag table of
 // core/tree_dp.hpp. A State is an integer (the graph DPs' packed bag words,
-// core/bag_codec.hpp) or a type with hash() and operator==. Layout:
+// core/bag_codec.hpp) or a type with hash() and operator== (the primality
+// DP's 24-byte PrimState). Layout:
 //
 //   entries_  — dense array of {hash, {State, Value}} records in insertion
 //               order; this is what iteration walks, so the transition loops
@@ -150,8 +151,9 @@ class FlatTable {
 
   /// The arena footprint in bytes — what this table charges against
   /// DpStats::peak_table_bytes / EngineOptions::table_memory_budget. States
-  /// that hold heap-owning members (e.g. std::vector) keep those bytes out of
-  /// the count; packed integer states are entirely inside it.
+  /// that held heap-owning members would keep those bytes out of the count;
+  /// every in-tree state is packed (an integer or a plain struct), so the
+  /// count is the table's whole footprint.
   size_t MemoryBytes() const { return arena_.TotalBytes(); }
 
   /// Eviction: destroys every entry and frees the arena, returning the table

@@ -17,7 +17,9 @@ namespace treedl::core {
 /// encoded structure. The preparation flow runs as a named pass pipeline
 /// (engine/passes.hpp): validate → rhs-closure → re-root at a bag containing
 /// a → normalize (modified form, FD-first forget order); then the bottom-up
-/// solve() DP and the success test at the root.
+/// solve() DP and the success test at the root. A normal form beyond the
+/// packed state (a bag of more than 16 attributes or 32 FDs, or a leaf of
+/// more than 10 attributes) is refused with ResourceExhausted before the DP.
 StatusOr<bool> IsPrimeViaTd(const Schema& schema, const SchemaEncoding& encoding,
                             const TreeDecomposition& td, AttributeId a,
                             RunStats* stats = nullptr);

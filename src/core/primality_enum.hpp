@@ -19,7 +19,10 @@ namespace treedl::core {
 
 /// Membership vector of prime attributes, two-pass linear algorithm. The
 /// preparation flow runs as a named pass pipeline: validate → rhs-closure →
-/// normalize (enumeration form: leaf coverage + branch copies).
+/// normalize (enumeration form: leaf coverage + branch copies). Refuses a
+/// normal form beyond the packed state with ResourceExhausted, as
+/// IsPrimeViaTd does, and also a root of more than 10 attributes (the
+/// top-down pass runs the leaf rule on the root).
 StatusOr<std::vector<bool>> EnumeratePrimes(const Schema& schema,
                                             const SchemaEncoding& encoding,
                                             const TreeDecomposition& td,

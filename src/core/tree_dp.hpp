@@ -8,6 +8,7 @@
 //   struct Problem {
 //     using State = ...;   // an integer (the graph DPs' packed BagCodec
 //                          // word), or a type with hash() and operator==
+//                          // (primality's packed PrimState)
 //     using Value = ...;   // e.g. std::monostate (decision), uint64_t (count)
 //     using Node = ...;    // what the transitions need of one node
 //     Node AtNode(const NormNode& node) const;

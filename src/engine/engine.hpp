@@ -133,10 +133,12 @@ class Engine {
   /// later calls cost one root-to-leaf path, not a DP. The tables that
   /// survive the build (the branch children and the root, under a table
   /// memory budget; all of them without one) stay resident in the session
-  /// until AllPrimes() memoizes its answer — outside the table memory budget
-  /// and ResidentArtifactBytes. After AllPrimes() has run, answers O(1) from
-  /// the memoized enumeration. core::IsPrimeViaTd is the independent §5.2
-  /// route.
+  /// until AllPrimes() memoizes its answer — outside the table memory
+  /// budget, charged by ResidentArtifactBytes. After AllPrimes() has run,
+  /// answers O(1) from the memoized enumeration. A normal form beyond the
+  /// packed primality state (see core::IsPrimeViaTd / EnumeratePrimes) is
+  /// refused with ResourceExhausted by IsPrime and AllPrimes alike, and not
+  /// cached. core::IsPrimeViaTd is the independent §5.2 route.
   StatusOr<bool> IsPrime(AttributeId a, RunStats* stats = nullptr);
 
   /// §5.3 enumeration: all prime attributes in one two-pass run — the

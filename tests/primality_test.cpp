@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/primality.hpp"
 #include "core/primality_enum.hpp"
+#include "core/primality_internal.hpp"
 #include "engine/engine.hpp"
 #include "schema/generators.hpp"
 #include "schema/primality_bruteforce.hpp"
@@ -195,6 +197,51 @@ TEST(PrimalityTest, EngineIsPrimeMatchesSection52Route) {
           EXPECT_EQ(all, oracle);
         }
       }
+    }
+  }
+}
+
+// The packed derivation order (4-bit attribute ranks, core/
+// primality_internal.hpp) against a vector model, at every length up to 16 —
+// including the high nibbles no schema narrow enough to enumerate reaches:
+// finding a rank, shifting the ranks above an introduced or forgotten
+// attribute, and inserting or erasing a position.
+TEST(PrimalityTest, PackedDerivationOrderMatchesVectorModel) {
+  using internal::PrimNode;
+  Rng rng(TestSeed());
+  for (int trial = 0; trial < 4000; ++trial) {
+    const uint32_t num_attrs = static_cast<uint32_t>(rng.UniformInt(1, 16));
+    std::vector<uint32_t> ranks(num_attrs);
+    for (uint32_t r = 0; r < num_attrs; ++r) ranks[r] = r;
+    std::shuffle(ranks.begin(), ranks.end(), rng.engine());
+    ranks.resize(rng.UniformIndex(num_attrs + 1));  // Co: the ranks outside Y
+    const uint32_t len = static_cast<uint32_t>(ranks.size());
+    auto pack = [](const std::vector<uint32_t>& seq) {
+      uint64_t co = 0;
+      for (size_t i = 0; i < seq.size(); ++i) co |= uint64_t{seq[i]} << (4 * i);
+      return co;
+    };
+    const uint64_t co = pack(ranks);
+
+    for (uint32_t r = 0; r < num_attrs; ++r) {
+      auto it = std::find(ranks.begin(), ranks.end(), r);
+      EXPECT_EQ(PrimNode::Find(co, len, r),
+                static_cast<uint32_t>(it - ranks.begin()));
+    }
+    // An attribute of rank p enters the bag (ranks >= p move up), then Co at
+    // position pos; forgetting it again restores the original word.
+    if (num_attrs < 16) {
+      const uint32_t p = static_cast<uint32_t>(rng.UniformInt(0, num_attrs));
+      const uint32_t pos = static_cast<uint32_t>(rng.UniformIndex(len + 1));
+      std::vector<uint32_t> shifted = ranks;
+      for (uint32_t& x : shifted) x += x >= p ? 1 : 0;
+      const uint64_t up = co + PrimNode::RanksFrom(co, len, p);
+      EXPECT_EQ(up, pack(shifted));
+      shifted.insert(shifted.begin() + pos, p);
+      const uint64_t entered = PrimNode::Ranks::Insert(up, pos, p);
+      EXPECT_EQ(entered, pack(shifted));
+      uint64_t erased = PrimNode::Ranks::Erase(entered, pos);
+      EXPECT_EQ(erased - PrimNode::RanksFrom(erased, len, p + 1), co);
     }
   }
 }

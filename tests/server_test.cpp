@@ -81,6 +81,19 @@ TEST(ProtocolTest, ParseFailuresMapToTypedErrorCodes) {
   }
 }
 
+// Budget and admission sheds may pass a retry; a fixed capacity never does,
+// and the mark survives the context a pass pipeline prepends.
+TEST(ProtocolTest, CapacityErrorsAreEvalErrorsAndShedsAreAdmissions) {
+  EXPECT_EQ(ErrorCodeFor(Status::ResourceExhausted("pool full")),
+            ErrorCode::kAdmission);
+  Status capacity = Status::CapacityExceeded("bag too wide");
+  EXPECT_EQ(capacity.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ErrorCodeFor(capacity), ErrorCode::kEval);
+  Status wrapped = capacity.WithContext("pass 'normalize': ");
+  EXPECT_EQ(wrapped.message(), "pass 'normalize': bag too wide");
+  EXPECT_EQ(ErrorCodeFor(wrapped), ErrorCode::kEval);
+}
+
 TEST(ProtocolTest, ReplyRenderersAreSingleLine) {
   EXPECT_EQ(OkReply("LOAD", "tenant=t"), "OK LOAD tenant=t");
   EXPECT_EQ(DataReply("e(a, b)."), "DATA e(a, b).");
