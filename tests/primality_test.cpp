@@ -278,8 +278,8 @@ void ExpectCapacityError(const Status& status, const std::string& what) {
 }
 
 TEST(PrimalityTest, OneBagBeyondCapacityIsResourceExhausted) {
-  // 11 attributes in the one leaf: one more than the leaf rule enumerates.
-  // This used to abort the process from inside the leaf rule.
+  // 11 attributes in the one leaf: one more than the leaf rule enumerates
+  // (it would emit every ordered partition of them, ~10^8 states).
   Schema wide = OneFdSchema(11);
   SchemaEncoding wide_encoding = EncodeSchema(wide);
   TreeDecomposition wide_td = OneBagTd(wide_encoding);
