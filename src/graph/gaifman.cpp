@@ -6,10 +6,12 @@ namespace treedl {
 
 Graph GaifmanGraph(const Structure& structure) {
   Graph g(structure.NumElements());
-  for (const Fact& fact : structure.AllFacts()) {
-    for (size_t i = 0; i < fact.args.size(); ++i) {
-      for (size_t j = i + 1; j < fact.args.size(); ++j) {
-        g.AddEdge(fact.args[i], fact.args[j]);
+  for (PredicateId p = 0; p < structure.signature().size(); ++p) {
+    for (const Tuple& args : structure.Relation(p)) {
+      for (size_t i = 0; i < args.size(); ++i) {
+        for (size_t j = i + 1; j < args.size(); ++j) {
+          g.AddEdge(args[i], args[j]);
+        }
       }
     }
   }

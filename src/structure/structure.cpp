@@ -6,12 +6,12 @@
 
 namespace treedl {
 
-ElementId Structure::AddElement(const std::string& name) {
+ElementId Structure::AddElement(std::string_view name) {
   auto it = element_ids_.find(name);
   if (it != element_ids_.end()) return it->second;
   ElementId id = static_cast<ElementId>(element_names_.size());
-  element_names_.push_back(name);
-  element_ids_.emplace(name, id);
+  element_names_.emplace_back(name);
+  element_ids_.emplace(element_names_.back(), id);
   return id;
 }
 

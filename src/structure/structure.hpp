@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -40,7 +41,8 @@ class Structure {
   // --- Domain -------------------------------------------------------------
 
   /// Interns `name`, returning its id (existing id if already present).
-  ElementId AddElement(const std::string& name);
+  /// Looking up a known name allocates nothing.
+  ElementId AddElement(std::string_view name);
 
   StatusOr<ElementId> ElementByName(const std::string& name) const;
   bool HasElementNamed(const std::string& name) const {
@@ -91,10 +93,18 @@ class Structure {
   struct TupleHash {
     size_t operator()(const Tuple& t) const { return HashRange(t); }
   };
+  // Lets element_ids_ be probed with a std::string_view.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
 
   Signature signature_;
   std::vector<std::string> element_names_;
-  std::unordered_map<std::string, ElementId> element_ids_;
+  std::unordered_map<std::string, ElementId, NameHash, std::equal_to<>>
+      element_ids_;
   std::vector<std::vector<Tuple>> relations_;
   std::vector<std::unordered_set<Tuple, TupleHash>> indexes_;
   size_t num_facts_ = 0;

@@ -1,5 +1,7 @@
 #include "structure/structure_io.hpp"
 
+#include <string_view>
+#include <vector>
 
 #include "common/string_util.hpp"
 
@@ -7,9 +9,14 @@ namespace treedl {
 
 namespace {
 
-// Parses "pred(a, b)" into name + args. Returns ParseError on malformed input.
-Status ParseAtomText(std::string_view text, std::string* name,
-                     std::vector<std::string>* args) {
+// Parses "pred(a, b)" into views of its name and arguments (into `text`), and
+// of whatever follows the closing parenthesis. Returns ParseError on malformed
+// input.
+Status ParseAtomText(std::string_view text, std::string_view* name,
+                     std::vector<std::string_view>* args,
+                     std::string_view* trailing) {
+  args->clear();
+  *trailing = {};
   size_t open = text.find('(');
   if (open == std::string_view::npos) {
     // Zero-arity atom: bare identifier.
@@ -17,8 +24,7 @@ Status ParseAtomText(std::string_view text, std::string* name,
     if (!IsIdentifier(ident)) {
       return Status::ParseError("malformed atom: " + std::string(text));
     }
-    *name = std::string(ident);
-    args->clear();
+    *name = ident;
     return Status::OK();
   }
   size_t close = text.rfind(')');
@@ -30,63 +36,91 @@ Status ParseAtomText(std::string_view text, std::string* name,
   if (!IsIdentifier(ident)) {
     return Status::ParseError("malformed predicate name: " + std::string(text));
   }
-  *name = std::string(ident);
-  args->clear();
+  *name = ident;
+  *trailing = text.substr(close + 1);
   std::string_view inner = text.substr(open + 1, close - open - 1);
   if (Trim(inner).empty()) return Status::OK();
-  for (const std::string& piece : Split(inner, ',')) {
-    std::string_view arg = Trim(piece);
+  for (size_t start = 0;;) {
+    size_t comma = inner.find(',', start);
+    std::string_view arg = Trim(inner.substr(
+        start, comma == std::string_view::npos ? comma : comma - start));
     if (!IsIdentifier(arg)) {
       return Status::ParseError("malformed argument '" + std::string(arg) +
                                 "' in atom: " + std::string(text));
     }
-    args->emplace_back(arg);
+    args->push_back(arg);
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
   }
   return Status::OK();
 }
 
+Status LineError(int line_no, const std::string& message) {
+  return Status::ParseError("line " + std::to_string(line_no) + ": " + message);
+}
+
 }  // namespace
 
+// Tokens are views into `text`; the argument list, the tuple and the last
+// predicate looked up are reused across facts, so a fact over known elements
+// allocates only the tuple the structure stores.
 StatusOr<Structure> ParseStructure(const Signature& signature,
                                    const std::string& text) {
   Structure structure(signature);
-  int line_no = 0;
-  for (const std::string& raw_line : Split(text, '\n')) {
-    ++line_no;
-    std::string_view line = Trim(raw_line);
+  std::vector<std::string_view> args;
+  Tuple tuple;
+  std::string predicate_name;
+  PredicateId predicate = -1;
+  std::string_view rest = text;
+  for (int line_no = 1;; ++line_no) {
+    size_t newline = rest.find('\n');
+    std::string_view line = Trim(rest.substr(0, newline));
     size_t comment = line.find('%');
     if (comment != std::string_view::npos) line = Trim(line.substr(0, comment));
-    if (line.empty()) continue;
-    if (line.back() != '.') {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": expected trailing '.'");
-    }
-    // Several '.'-terminated facts may share a line; identifiers cannot
-    // contain '.', so splitting on it is unambiguous.
-    for (const std::string& piece : Split(line, '.')) {
-      std::string_view stmt = Trim(piece);
-      if (stmt.empty()) continue;
-      std::string name;
-      std::vector<std::string> args;
-      Status st = ParseAtomText(stmt, &name, &args);
-      if (!st.ok()) {
-        return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                  st.message());
+    if (!line.empty()) {
+      if (line.back() != '.') {
+        return LineError(line_no, "expected trailing '.'");
       }
-      if (name == "element") {
-        if (args.size() != 1) {
-          return Status::ParseError("line " + std::to_string(line_no) +
-                                    ": element/1 expects one argument");
+      // Several '.'-terminated facts may share a line; identifiers cannot
+      // contain '.', so splitting on it is unambiguous.
+      for (size_t start = 0; start < line.size();) {
+        size_t dot = line.find('.', start);
+        std::string_view stmt = Trim(line.substr(start, dot - start));
+        start = dot + 1;
+        if (stmt.empty()) continue;
+        std::string_view name;
+        std::string_view trailing;
+        Status st = ParseAtomText(stmt, &name, &args, &trailing);
+        if (!st.ok()) return LineError(line_no, st.message());
+        if (name == "element") {
+          if (args.size() != 1) {
+            return LineError(line_no, "element/1 expects one argument");
+          }
+          structure.AddElement(args[0]);
+        } else {
+          if (predicate < 0 || name != predicate_name) {
+            predicate_name.assign(name);
+            StatusOr<PredicateId> id = signature.PredicateIdOf(predicate_name);
+            if (!id.ok()) return LineError(line_no, id.status().ToString());
+            predicate = id.value();
+          }
+          tuple.clear();
+          for (std::string_view arg : args) {
+            tuple.push_back(structure.AddElement(arg));
+          }
+          st = structure.AddFact(predicate, tuple);
+          if (!st.ok()) return LineError(line_no, st.ToString());
         }
-        structure.AddElement(args[0]);
-        continue;
-      }
-      st = structure.AddFactNamed(name, args);
-      if (!st.ok()) {
-        return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                  st.ToString());
+        // Checked last, so that every atom rejected for another reason keeps
+        // that reason's message.
+        if (!trailing.empty()) {
+          return LineError(line_no, "unexpected text after ')' in atom: " +
+                                        std::string(stmt));
+        }
       }
     }
+    if (newline == std::string_view::npos) break;
+    rest.remove_prefix(newline + 1);
   }
   return structure;
 }

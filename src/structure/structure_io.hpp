@@ -21,6 +21,9 @@
 namespace treedl {
 
 /// Parses `text` into a structure over `signature`.
+/// perfbench/wrap.cpp times this function by wrapping its mangled name at
+/// link time: its signature, out-of-line definition and translation unit
+/// (structure/structure_io.cpp) are load-bearing.
 StatusOr<Structure> ParseStructure(const Signature& signature,
                                    const std::string& text);
 

@@ -21,6 +21,9 @@ namespace treedl {
 /// Builds the tree decomposition induced by eliminating `order` (a permutation
 /// of all vertices of `graph`). The result is valid for `graph` and its width
 /// is the order's induced width.
+/// perfbench/wrap.cpp times this function by wrapping its mangled name at
+/// link time: its signature, out-of-line definition and translation unit
+/// (td/elimination_order.cpp) are load-bearing.
 StatusOr<TreeDecomposition> DecompositionFromOrder(
     const Graph& graph, const std::vector<VertexId>& order);
 

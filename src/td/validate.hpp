@@ -14,6 +14,9 @@ namespace treedl {
 ///   (2) for every fact R(a1..ak) some bag contains {a1..ak},
 ///   (3) for every element, the nodes whose bags contain it induce a subtree.
 /// Returns InvalidArgument with a description of the first violation.
+/// perfbench/wrap.cpp times this function by wrapping its mangled name at
+/// link time: its signature, out-of-line definition and translation unit
+/// (td/validate.cpp) are load-bearing.
 Status ValidateForStructure(const Structure& structure,
                             const TreeDecomposition& td);
 

@@ -8,6 +8,12 @@
 // as the reference, verbatim apart from a code-alignment attribute on FillIn
 // that only affected its speed: every heuristic must reproduce its orders
 // exactly (same vertices, same tie-breaks) on every family below.
+//
+// The second reference is the std::set elimination simulation that
+// DecompositionFromOrder and OrderWidth ran before they moved to flat sorted
+// adjacency: for every heuristic order and for random permutations, the
+// library must build byte-identical bags, parents, children and root, and
+// report the same width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +28,7 @@
 #include "graph/generators.hpp"
 #include "schema/encode.hpp"
 #include "schema/generators.hpp"
+#include "td/elimination_order.hpp"
 #include "td/heuristics.hpp"
 
 #include "test_util.hpp"
@@ -121,6 +128,82 @@ std::vector<VertexId> TieBrokenMinFillOrder(const Graph& graph) {
   return order;
 }
 
+// The elimination simulation over std::set adjacency, as
+// DecompositionFromOrder ran it: bag i is {order[i]} ∪ its current
+// neighbours, and hangs under the bag of its earliest later-eliminated
+// neighbour (or the next bag, for a vertex with no later neighbour).
+struct OracleBuild {
+  std::vector<std::vector<ElementId>> bags;  // by elimination position
+  std::vector<int> attach_position;
+};
+
+OracleBuild SimulateEliminationOracle(const Graph& graph,
+                                      const std::vector<VertexId>& order) {
+  size_t n = graph.NumVertices();
+  std::vector<std::set<VertexId>> adj(n);
+  for (auto [u, v] : graph.Edges()) {
+    adj[u].insert(v);
+    adj[v].insert(u);
+  }
+  std::vector<int> position(n);
+  for (size_t i = 0; i < n; ++i) position[order[i]] = static_cast<int>(i);
+
+  OracleBuild out;
+  out.bags.assign(n, {});
+  out.attach_position.assign(n, -1);
+  for (size_t i = 0; i < n; ++i) {
+    VertexId v = order[i];
+    std::vector<VertexId> nbrs(adj[v].begin(), adj[v].end());
+    auto& bag = out.bags[i];
+    bag.push_back(v);
+    int earliest_later = -1;
+    for (VertexId u : nbrs) {
+      bag.push_back(u);
+      if (earliest_later == -1 || position[u] < earliest_later) {
+        earliest_later = position[u];
+      }
+    }
+    out.attach_position[i] = earliest_later;
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      adj[nbrs[a]].erase(v);
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        adj[nbrs[a]].insert(nbrs[b]);
+        adj[nbrs[b]].insert(nbrs[a]);
+      }
+    }
+    adj[v].clear();
+  }
+  return out;
+}
+
+TreeDecomposition DecompositionFromOrderOracle(
+    const Graph& graph, const std::vector<VertexId>& order) {
+  TreeDecomposition td;
+  size_t n = graph.NumVertices();
+  if (n == 0) {
+    td.AddNode({});
+    return td;
+  }
+  OracleBuild build = SimulateEliminationOracle(graph, order);
+  std::vector<TdNodeId> node_of_position(n, kNoTdNode);
+  node_of_position[n - 1] = td.AddNode(build.bags[n - 1]);
+  for (size_t i = n - 1; i-- > 0;) {
+    int parent_pos = build.attach_position[i];
+    if (parent_pos < 0) parent_pos = static_cast<int>(i) + 1;
+    node_of_position[i] = td.AddNode(
+        build.bags[i], node_of_position[static_cast<size_t>(parent_pos)]);
+  }
+  return td;
+}
+
+int OrderWidthOracle(const Graph& graph, const std::vector<VertexId>& order) {
+  int width = -1;
+  for (const auto& bag : SimulateEliminationOracle(graph, order).bags) {
+    width = std::max(width, static_cast<int>(bag.size()) - 1);
+  }
+  return width;
+}
+
 // ---------------------------------------------------------------------------
 // Graph families.
 // ---------------------------------------------------------------------------
@@ -188,6 +271,47 @@ void ExpectOrdersMatchOracle(const Graph& graph, const std::string& label) {
             TieBrokenMinFillOrder(graph));
 }
 
+// Asserts that DecompositionFromOrder and OrderWidth reproduce the std::set
+// simulation on `order`: same nodes, bags, parents, children and root.
+void ExpectBuildMatchesOracle(const Graph& graph,
+                              const std::vector<VertexId>& order,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  auto built = DecompositionFromOrder(graph, order);
+  ASSERT_TRUE(built.ok()) << built.status();
+  TreeDecomposition want = DecompositionFromOrderOracle(graph, order);
+  ASSERT_EQ(built->NumNodes(), want.NumNodes());
+  EXPECT_EQ(built->root(), want.root());
+  for (size_t i = 0; i < want.NumNodes(); ++i) {
+    TdNodeId id = static_cast<TdNodeId>(i);
+    ASSERT_EQ(built->Bag(id), want.Bag(id)) << "node " << i;
+    ASSERT_EQ(built->node(id).parent, want.node(id).parent) << "node " << i;
+    ASSERT_EQ(built->node(id).children, want.node(id).children)
+        << "node " << i;
+  }
+  auto width = OrderWidth(graph, order);
+  ASSERT_TRUE(width.ok()) << width.status();
+  EXPECT_EQ(*width, OrderWidthOracle(graph, order));
+}
+
+// Every heuristic's order plus `permutations` random orders of `graph`.
+void ExpectBuildsMatchOracle(const Graph& graph, const std::string& label,
+                             Rng* rng, int permutations = 3) {
+  for (TdHeuristic h : {TdHeuristic::kMinDegree, TdHeuristic::kMinFill,
+                        TdHeuristic::kMcs, TdHeuristic::kMinFillTieBreak}) {
+    ExpectBuildMatchesOracle(graph, HeuristicOrder(graph, h),
+                             label + " heuristic " +
+                                 std::to_string(static_cast<int>(h)));
+  }
+  std::vector<VertexId> order(graph.NumVertices());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<VertexId>(i);
+  for (int r = 0; r < permutations; ++r) {
+    rng->Shuffle(&order);
+    ExpectBuildMatchesOracle(graph, order,
+                             label + " permutation " + std::to_string(r));
+  }
+}
+
 TEST(HeuristicsOracleTest, StructuredFamiliesMatch) {
   for (const auto& [label, graph] : StructuredGraphs()) {
     ExpectOrdersMatchOracle(graph, label);
@@ -250,6 +374,54 @@ TEST(HeuristicsOracleTest, SchemaGaifmanGraphsMatch) {
     Graph g = SchemaGaifman(GenerateBalancedInstance(fds).schema);
     std::string label = "balanced schema fds=" + std::to_string(fds);
     ExpectOrdersMatchOracle(g, label);
+  }
+}
+
+TEST(DecompositionFromOrderOracleTest, StructuredFamiliesMatch) {
+  Rng rng(TestSeed());
+  ExpectBuildMatchesOracle(Graph(0), {}, "empty");
+  for (const auto& [label, graph] : StructuredGraphs()) {
+    ExpectBuildsMatchOracle(graph, label, &rng);
+  }
+}
+
+TEST(DecompositionFromOrderOracleTest, GnpGraphsMatch) {
+  Rng rng(TestSeed());
+  for (double p : {0.05, 0.2, 0.5, 0.9}) {
+    for (size_t n : {8, 20, 40}) {
+      ExpectBuildsMatchOracle(RandomGnp(n, p, &rng),
+                              "gnp n=" + std::to_string(n) +
+                                  " p=" + std::to_string(p),
+                              &rng);
+    }
+  }
+}
+
+TEST(DecompositionFromOrderOracleTest, PartialKTreesMatch) {
+  Rng rng(TestSeed());
+  for (int k = 1; k <= 6; ++k) {
+    for (size_t n : {30, 150, 400}) {
+      Graph g = Relabeled(RandomPartialKTree(n, k, 0.6, &rng), &rng);
+      ExpectBuildsMatchOracle(g,
+                              "partial " + std::to_string(k) + "-tree n=" +
+                                  std::to_string(n),
+                              &rng, /*permutations=*/n > 200 ? 1 : 3);
+    }
+  }
+}
+
+TEST(DecompositionFromOrderOracleTest, SchemaGaifmanGraphsMatch) {
+  Rng rng(TestSeed());
+  for (int attributes : {20, 60, 120}) {
+    ExpectBuildsMatchOracle(
+        SchemaGaifman(
+            RandomWindowSchema(attributes, 2 * attributes / 3, 5, &rng)),
+        "window schema n=" + std::to_string(attributes), &rng);
+  }
+  for (int fds : {7, 40, 100}) {
+    ExpectBuildsMatchOracle(
+        SchemaGaifman(GenerateBalancedInstance(fds).schema),
+        "balanced schema fds=" + std::to_string(fds), &rng);
   }
 }
 

@@ -252,6 +252,23 @@ TEST(ServerRobustnessTest, OversizedLineYieldsOneFramedErrorAndDriverSurvives) {
   EXPECT_EQ(Reply(&s, "SOLVE g 3COL").rfind("OK SOLVE", 0), 0u);
 }
 
+TEST(ServerRobustnessTest, TrailingTextAfterAnAtomIsAParseError) {
+  server::Server s(QuietServer());
+  EXPECT_EQ(Reply(&s, "LOAD g SIG e/2 FACTS e(a, b)junk."),
+            "ERR E_PARSE line 1: unexpected text after ')' in atom: "
+            "e(a, b)junk\n");
+  EXPECT_EQ(Reply(&s, "LOAD g SIG e/2 FACTS e(a, b). e(b, c) x y."),
+            "ERR E_PARSE line 1: unexpected text after ')' in atom: "
+            "e(b, c) x y\n");
+  // Nothing was loaded; a well-formed LOAD still works, and an ASSERT with
+  // trailing text leaves the tenant as it was.
+  ASSERT_EQ(Reply(&s, PathLoadLine("g", 3)).rfind("OK LOAD", 0), 0u);
+  EXPECT_EQ(Reply(&s, "ASSERT g e(v2, v3)x."),
+            "ERR E_PARSE line 2: unexpected text after ')' in atom: "
+            "e(v2, v3)x\n");
+  EXPECT_EQ(Reply(&s, "SOLVE g VC").rfind("OK SOLVE", 0), 0u);
+}
+
 TEST(ServerRobustnessTest, DeadlineZeroShedsEveryComputeRequest) {
   server::Server s(QuietServer());
   ASSERT_EQ(Reply(&s, PathLoadLine("g", 6)).rfind("OK LOAD", 0), 0u);

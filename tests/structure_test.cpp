@@ -155,5 +155,98 @@ TEST(StructureIoTest, CommentsAndBlanksIgnored) {
   EXPECT_EQ(parsed->NumFacts(), 1u);
 }
 
+// --- ParseStructure golden cases -------------------------------------------
+
+Signature GoldenSignature() {
+  return Signature::Make({{"flag", 0}, {"p", 1}, {"e", 2}, {"t", 3}}).value();
+}
+
+struct GoldenParse {
+  const char* text;
+  const char* formatted;  // FormatStructure of the parse
+};
+
+TEST(StructureIoTest, GoldenParsesRoundTrip) {
+  const GoldenParse cases[] = {
+      // Several facts on one line, and one fact per line.
+      {"e(a, b). e(b, c).e(c,a).\nt(a, b, c).\n",
+       "element(a).\nelement(b).\nelement(c).\n"
+       "e(a, b).\ne(b, c).\ne(c, a).\nt(a, b, c).\n"},
+      // '%' comments, blank lines, surrounding whitespace and \r\n.
+      {"% header\n\n   e(x, y).   % trailing\r\n% e(no, no).\n\tp(y).\n",
+       "element(x).\nelement(y).\np(y).\ne(x, y).\n"},
+      // Zero-arity atoms, bare and with empty parentheses.
+      {"flag. flag().\np(a).\n", "element(a).\nflag.\np(a).\n"},
+      // element/1 declares isolated elements and fixes their ids.
+      {"element(z). element(y).\ne(y, x). element(y).\n",
+       "element(z).\nelement(y).\nelement(x).\ne(y, x).\n"},
+      // Duplicate facts collapse; repeated arguments stay.
+      {"e(a, b). e(a, b).\ne(a,b). t(a, a, b). t(a, a, b).\n",
+       "element(a).\nelement(b).\ne(a, b).\nt(a, a, b).\n"},
+      // Identifiers with digits, underscores and primes; empty statements.
+      {"e(_a1, b'). . e(b', C_2)..\n",
+       "element(_a1).\nelement(b').\nelement(C_2).\n"
+       "e(_a1, b').\ne(b', C_2).\n"},
+      // Nothing at all.
+      {"", ""},
+      {"% only a comment\n\n", ""},
+  };
+  for (const GoldenParse& c : cases) {
+    SCOPED_TRACE(c.text);
+    auto parsed = ParseStructure(GoldenSignature(), c.text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    std::string formatted = FormatStructure(*parsed);
+    EXPECT_EQ(formatted, c.formatted);
+    auto reparsed = ParseStructure(GoldenSignature(), formatted);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+    EXPECT_TRUE(*reparsed == *parsed);
+    EXPECT_EQ(FormatStructure(*reparsed), formatted);
+  }
+}
+
+struct GoldenError {
+  const char* text;
+  const char* message;
+};
+
+TEST(StructureIoTest, GoldenParseErrorMessages) {
+  const GoldenError cases[] = {
+      {"e(a, b)\n", "line 1: expected trailing '.'"},
+      {"e(a, b). p(a)\n", "line 1: expected trailing '.'"},
+      {"e(a.\n", "line 1: unbalanced parentheses in atom: e(a"},
+      {"e)a(b.\n", "line 1: unbalanced parentheses in atom: e)a(b"},
+      {"\n% skip\n\nunknown(a, b).\n",
+       "line 4: NotFound: unknown predicate: unknown"},
+      {"e(a).\n",
+       "line 1: InvalidArgument: arity mismatch for e: got 1, want 2"},
+      {"flag(a).\n",
+       "line 1: InvalidArgument: arity mismatch for flag: got 1, want 0"},
+      {"e(a, 1b).\n", "line 1: malformed argument '1b' in atom: e(a, 1b)"},
+      {"e(a, ).\n", "line 1: malformed argument '' in atom: e(a, )"},
+      {"e(a, (b)).\n", "line 1: malformed argument '(b)' in atom: e(a, (b))"},
+      {"e(a, b)).\n", "line 1: malformed argument 'b)' in atom: e(a, b))"},
+      {"1e(a, b).\n", "line 1: malformed predicate name: 1e(a, b)"},
+      {"(a, b).\n", "line 1: malformed predicate name: (a, b)"},
+      {"e a.\n", "line 1: malformed atom: e a"},
+      {"p(a). e(a, b). ?.\n", "line 1: malformed atom: ?"},
+      {"element(a, b).\n", "line 1: element/1 expects one argument"},
+      {"element.\n", "line 1: element/1 expects one argument"},
+      // Text after the closing parenthesis.
+      {"e(a, b)junk.\n",
+       "line 1: unexpected text after ')' in atom: e(a, b)junk"},
+      {"p(a).\ne(a, b) x y.\n",
+       "line 2: unexpected text after ')' in atom: e(a, b) x y"},
+      // The closing parenthesis is the last one, so this is an argument error.
+      {"e(a, b)(c).\n", "line 1: malformed argument 'b)(c' in atom: e(a, b)(c)"},
+  };
+  for (const GoldenError& c : cases) {
+    SCOPED_TRACE(c.text);
+    auto parsed = ParseStructure(GoldenSignature(), c.text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(parsed.status().message(), c.message);
+  }
+}
+
 }  // namespace
 }  // namespace treedl

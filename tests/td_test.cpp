@@ -124,6 +124,32 @@ TEST(ValidateTest, DetectsConnectednessViolation) {
   EXPECT_NE(st.message().find("connectedness"), std::string::npos);
 }
 
+TEST(ValidateTest, ConnectednessNamesTheLowestViolatingElement) {
+  // Elements 5 and 2 both reappear below a bag without them; 5 is met first
+  // in every bag, and the error names 2.
+  TreeDecomposition td;
+  TdNodeId root = td.AddNode({0, 1, 2, 3, 5});
+  TdNodeId mid = td.AddNode({3, 4}, root);
+  td.AddNode({2, 4, 5}, mid);
+  const std::string want =
+      "connectedness violated for element id 2: 2 occurrences, 0 parent links";
+  EXPECT_EQ(ValidateConnectedness(td).message(), want);
+  EXPECT_EQ(ValidateForGraph(Graph(6), td).message(), want);
+
+  // Ids far beyond any domain are still checked, and named exactly.
+  TreeDecomposition wide;
+  TdNodeId r = wide.AddNode({7, 4000000000u});
+  TdNodeId m = wide.AddNode({7}, r);
+  wide.AddNode({7, 4000000000u, 4000000001u}, m);
+  Status st = ValidateConnectedness(wide);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(st.message(),
+            "connectedness violated for element id 4000000000: 2 "
+            "occurrences, 0 parent links");
+  // Connectedness is checked before the domain.
+  EXPECT_EQ(ValidateForGraph(Graph(8), wide).message(), st.message());
+}
+
 TEST(SubtreeTest, SubtreeAndEnvelopePartitionNodes) {
   Structure s = PaperStructure();
   TreeDecomposition td = PaperFigure1Td(s);
